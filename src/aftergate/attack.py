@@ -181,12 +181,9 @@ def contour_flux_delay(det: DetectorParams, env: Environment,
     if np.any(f <= 0):
         raise ValueError("flux grid must be positive")
     d = np.asarray(delays, dtype=float)
-    rows = []
-    for mu in f:
-        p_f = click_probability_array(det, mu, d)
-        p_h = click_probability_array(det, mu / 2.0, d)
-        rows.append(_qber_array(p_f, p_h))
-    return np.array(rows)
+    p_f = click_probability_array(det, f[:, None], d)
+    p_h = click_probability_array(det, f[:, None] / 2.0, d)
+    return _qber_array(p_f, p_h)
 
 
 def sub_threshold_region(qber_matrix: np.ndarray,
@@ -201,9 +198,10 @@ def binary_entropy(q) -> float:
     arr = np.asarray(q, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("binary_entropy domain is [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(arr > 0, arr * np.log2(arr, where=arr > 0), 0.0) \
-            - np.where(arr < 1, (1 - arr) * np.log2(1 - arr, where=arr < 1), 0.0)
+    log_q = np.log2(arr, out=np.zeros_like(arr), where=arr > 0)
+    log_p = np.log2(1 - arr, out=np.zeros_like(arr), where=arr < 1)
+    h = -np.where(arr > 0, arr * log_q, 0.0) \
+        - np.where(arr < 1, (1 - arr) * log_p, 0.0)
     out = np.where((arr == 0) | (arr == 1), 0.0, h)
     return float(out) if out.ndim == 0 else out
 

@@ -16,16 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from . import io, svg
-from .attack import (AttackScenario, NoSignalError, attack_histogram,
-                     contour_flux_delay, gate2_vs_delay, key_rate,
-                     partial_attack_rates, sub_threshold_region, sweep_delay)
+from .attack import (QBER_THRESHOLD, AttackScenario, NoSignalError,
+                     attack_histogram, contour_flux_delay, gate2_vs_delay,
+                     key_rate, partial_attack_rates, sub_threshold_region,
+                     sweep_delay)
 from .characterization import (LifetimeExtractionError, arrhenius_fit,
                                build_histogram)
 from .config import ConfigError, RunConfig, load_config
 from .feasibility import (attack_qber_at_frequency, feasibility_band,
                           noise_qber, rescale_detector, suitable_interval)
 from .montecarlo import simulate_pulse_train
-from .detector import PulseSpec
+from .detector import K_BOLTZMANN_EV, PulseSpec
 
 OUTDIR_ENV = "AFTERGATE_OUTDIR"
 
@@ -111,7 +112,7 @@ def _sweep_grid(cfg: RunConfig) -> np.ndarray:
     sec = cfg.values.get("sweep", {})
     return np.linspace(sec.get("delay_min", 0.0),
                        sec.get("delay_max", 240.0),
-                       sec.get("delay_points", 481))
+                       sec.get("delay_points", 961))
 
 
 def _sweep_points(cfg: RunConfig):
@@ -161,7 +162,7 @@ def cmd_arrhenius(cfg: RunConfig, args, out: Path, run: dict) -> None:
     })
     inv_t = [1.0 / p.temperature for p in points]
     ln_tau = [float(np.log(p.lifetime)) for p in points]
-    fit_y = [fit.activation_energy / 8.617e-5 * x
+    fit_y = [fit.activation_energy / K_BOLTZMANN_EV * x
              + float(np.log(fit.lifetime_prefactor)) for x in inv_t]
     svg.line_chart(out / "arrhenius.svg", inv_t,
                    {"ln(lifetime)": ln_tau, "fit": fit_y},
@@ -175,7 +176,8 @@ def cmd_sweep(cfg: RunConfig, args, out: Path, run: dict) -> None:
     points = _sweep_points(cfg)
     io.write_sweep_csv(out / "sweep.csv", points)
     delays = [p.delay for p in points]
-    threshold = cfg.values.get("feasibility", {}).get("qber_threshold", 0.11)
+    threshold = cfg.values.get("feasibility", {}).get("qber_threshold",
+                                                      QBER_THRESHOLD)
     svg.line_chart(out / "sweep.svg", delays,
                    {"target-gate QBER": [p.q_target for p in points],
                     "with delayed detection": [p.q_with_dd for p in points]},
@@ -257,7 +259,8 @@ def cmd_contour(cfg: RunConfig, args, out: Path, run: dict) -> None:
                          sec.get("delay_points", 201))
     matrix = contour_flux_delay(cfg.detector, cfg.environment, fluxes, delays)
     io.write_contour_csv(out / "contour.csv", fluxes, delays, matrix)
-    threshold = cfg.values.get("feasibility", {}).get("qber_threshold", 0.11)
+    threshold = cfg.values.get("feasibility", {}).get("qber_threshold",
+                                                      QBER_THRESHOLD)
     svg.heatmap(out / "contour.svg", delays, fluxes, matrix,
                 "target-gate QBER vs flux and delay", "delay (ps)",
                 "flux (photons/pulse)", iso=threshold)
@@ -304,7 +307,7 @@ def cmd_feasibility(cfg: RunConfig, args, out: Path, run: dict) -> None:
     freqs = np.geomspace(sec.get("freq_min", 1e7), sec.get("freq_max", 5e9),
                          sec.get("freq_points", 50))
     temps = sec.get("temperatures", [cfg.environment.temperature])
-    threshold = sec.get("qber_threshold", 0.11)
+    threshold = sec.get("qber_threshold", QBER_THRESHOLD)
     sc = cfg.values.get("scenario", {})
     summary = {}
     for temp in temps:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.stats import poisson
 
 # Boltzmann constant in eV per kelvin.
 K_BOLTZMANN_EV = 8.617e-5
@@ -262,14 +261,60 @@ def survival_fraction(species: TrapSpecies, env: Environment, elapsed) -> float:
     return float(out) if np.isscalar(elapsed) or out.ndim == 0 else out
 
 
-def click_probability_array(det: DetectorParams, mean_flux: float, delays) -> np.ndarray:
-    """Target-gate click probability over an array of delays."""
+def poisson_tail(k, lam) -> np.ndarray:
+    """P(N >= k) for N ~ Poisson(lam), elementwise over broadcast k and lam.
+
+    k holds integers >= 1 and lam values >= 0. The tail is the regularized
+    incomplete gamma function P(k, lam) of DLMF §8.4, whose complement
+    Q(k, lam) is the Poisson head sum e^-lam sum_{j<k} lam^j / j!
+    (DLMF 8.4.10). Where lam >= k the tail is not small, so it is taken as
+    1 minus the head sum. Where lam < k it is summed directly as
+    pmf(k) * (1 + lam/(k+1) + lam^2/((k+1)(k+2)) + ...), whose terms fall
+    geometrically, until a term drops below 1e-17 of the sum. Both sums
+    start from e^-lam, which underflows to 0 for lam above about 745; the
+    result then stays exact only while k is far below lam.
+    """
+    k, lam = np.broadcast_arrays(np.asarray(k, dtype=float),
+                                 np.asarray(lam, dtype=float))
+    if np.any(lam < 0):
+        raise ValueError("Poisson mean must be >= 0")
+    out = np.empty(k.shape)
+    head = lam >= k
+    k_h, lam_h = k[head], lam[head]
+    term = np.exp(-lam_h)
+    total = term
+    for j in range(1, int(k_h.max(initial=1))):
+        term = term * lam_h / j
+        total = total + np.where(j < k_h, term, 0.0)
+    out[head] = 1.0 - total
+
+    upper = ~head
+    k_u, lam_u = k[upper], lam[upper]
+    pmf = np.exp(-lam_u)
+    for j in range(1, int(k_u.max(initial=0)) + 1):
+        pmf = np.where(j <= k_u, pmf * lam_u / j, pmf)
+    term = total = pmf
+    j = 1
+    while np.any(term > 1e-17 * total):
+        term = term * lam_u / (k_u + j)
+        total = total + term
+        j += 1
+    out[upper] = total
+    return out
+
+
+def click_probability_array(det: DetectorParams, mean_flux, delays) -> np.ndarray:
+    """Target-gate click probability over an array of delays.
+
+    mean_flux may be an array that broadcasts against delays, e.g. a column
+    of fluxes for a (flux, delay) grid.
+    """
     d = np.asarray(delays, dtype=float)
     lam = det.mean_avalanches(mean_flux, d)
     if not np.all(np.isfinite(lam)):
         raise ValueError("non-finite avalanche rate")
     n_th = det.threshold_count(d)
-    p_light = poisson.sf(n_th - 1.0, lam)
+    p_light = poisson_tail(n_th, lam)
     return 1.0 - (1.0 - p_light) * (1.0 - det.dark_count_prob)
 
 

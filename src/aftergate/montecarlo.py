@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .detector import DetectorParams, Environment, PulseSpec, trap_loading, \
-    delayed_release_mean, click_probability_array
+    delayed_release_mean, poisson_tail
 from .characterization import GateHistogram
 
 _CHUNK = 8192
@@ -56,17 +56,20 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
     """Exact per-gate click probabilities for the same composition the
     Monte Carlo engine samples. This is the oracle the engine is tested
     against."""
-    plans = _plan(det, pulses, env, window)
+    p_no_click, ap_bg = _no_click_and_background(
+        det, _plan(det, pulses, env, window), window)
+    return 1.0 - p_no_click * (1.0 - ap_bg)
+
+
+def _no_click_and_background(det: DetectorParams, plans, window: int):
+    """Per-gate probability that neither light, trap release nor a dark
+    count clicks, and the flat afterpulse background that implies."""
     p_no_click = np.full(window, 1.0 - det.dark_count_prob)
     for plan in plans:
-        from scipy.stats import poisson as _poisson
-        p_light = float(_poisson.sf(plan.n_th - 1, plan.lam))
-        p_no_click[plan.gate] *= 1.0 - p_light
+        p_no_click[plan.gate] *= 1.0 - float(poisson_tail(plan.n_th, plan.lam))
         for k, mean in enumerate(plan.release_means, start=1):
             p_no_click[plan.gate + k] *= np.exp(-mean)
-    base = 1.0 - p_no_click
-    ap_bg = afterpulse_background(det, base)
-    return 1.0 - p_no_click * (1.0 - ap_bg)
+    return p_no_click, afterpulse_background(det, 1.0 - p_no_click)
 
 
 def afterpulse_background(det: DetectorParams, base_probabilities) -> float:
@@ -124,14 +127,7 @@ def simulate_pulse_train(det: DetectorParams,
         raise ValueError(f"window {window} too small to contain all pulses")
 
     plans = _plan(det, pulses, env, window)
-    # background level shared with the analytic path
-    p_no = np.full(window, 1.0 - det.dark_count_prob)
-    from scipy.stats import poisson as _poisson
-    for plan in plans:
-        p_no[plan.gate] *= 1.0 - float(_poisson.sf(plan.n_th - 1, plan.lam))
-        for k, mean in enumerate(plan.release_means, start=1):
-            p_no[plan.gate + k] *= np.exp(-mean)
-    ap_bg = afterpulse_background(det, 1.0 - p_no)
+    _, ap_bg = _no_click_and_background(det, plans, window)
 
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, trials - i * _CHUNK) for i in range(n_chunks)]

@@ -11,7 +11,8 @@ from aftergate import (AttackScenario, NoSignalError, attack_histogram,
                        binary_entropy, contour_flux_delay, gate2_vs_delay,
                        key_rate, mean_delayed, partial_attack_rates,
                        qber_target, qber_with_dd, sweep_delay)
-from aftergate.attack import sub_threshold_region
+from aftergate.attack import _qber_array, sub_threshold_region
+from aftergate.detector import click_probability_array
 
 
 class TestQberTarget:
@@ -237,6 +238,13 @@ class TestContour:
                           delays)
         for j in (100, 290, 306, 320):
             assert matrix[i, j] == pytest.approx(pts[j].q_target, abs=1e-12)
+
+    def test_grid_equals_row_by_row_evaluation(self, det, grids, matrix):
+        fluxes, delays = grids
+        rows = [_qber_array(click_probability_array(det, mu, delays),
+                            click_probability_array(det, mu / 2.0, delays))
+                for mu in fluxes]
+        np.testing.assert_array_equal(matrix, np.array(rows))
 
     def test_sub_threshold_region_includes_flux_20(self, grids, matrix):
         fluxes, _ = grids

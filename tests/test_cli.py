@@ -1,11 +1,18 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import configparser
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aftergate
 from aftergate.cli import main
+from aftergate.config import default_config_path
 
 KB = 8.617e-5
 
@@ -83,6 +90,18 @@ class TestSweepCommand:
                           "q_target,q_with_dd")
         assert (tmp_path / "sweep.svg").exists()
 
+    def test_config_without_sweep_section_uses_default_grid(self, tmp_path):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(default_config_path())
+        parser.remove_section("sweep")
+        cfg = tmp_path / "no_sweep.ini"
+        with cfg.open("w") as fh:
+            parser.write(fh)
+        assert main(["--config", str(cfg), "--out", str(tmp_path),
+                     "sweep"]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 1 + 961
+
 
 class TestOtherCommands:
     def test_attack_hist(self, tmp_path):
@@ -139,3 +158,15 @@ class TestErrorPaths:
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envout"))
         assert main(["--trials", "2000", *FAST, "histogram"]) == 0
         assert (tmp_path / "envout" / "histogram.csv").exists()
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(aftergate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, aftergate, aftergate.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

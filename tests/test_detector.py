@@ -17,7 +17,7 @@ from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
                        survival_fraction, trap_lifetime, trap_loading)
 from aftergate.detector import (DetectorParams, GateTiming, TrapState,
                                 release_expectation,
-                                click_probability_array)
+                                click_probability_array, poisson_tail)
 
 
 def species(ea, tau0, **kw):
@@ -158,6 +158,34 @@ class TestClickProbability:
         p1 = click_probability(d, PulseSpec(mu, 10.0))
         p2 = click_probability(d, PulseSpec(2 * mu, 10.0))
         assert p2 == pytest.approx(2 * p1 - p1 * p1, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def scipy_poisson():
+    return pytest.importorskip("scipy.stats").poisson
+
+
+# Outputs below the smallest normal double carry fewer than 12 digits in
+# either implementation, so they are compared absolutely.
+TINY = np.finfo(float).tiny
+
+
+class TestPoissonTail:
+    @given(st.integers(1, 50),
+           st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=60.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_oracle(self, scipy_poisson, k, lam):
+        assert float(poisson_tail(k, lam)) == pytest.approx(
+            scipy_poisson.sf(k - 1, lam), rel=1e-12, abs=TINY)
+
+    def test_mean_equal_to_threshold(self, scipy_poisson):
+        k = np.arange(1, 51)
+        np.testing.assert_allclose(poisson_tail(k, k.astype(float)),
+                                   scipy_poisson.sf(k - 1, k), rtol=1e-12)
+
+    def test_rejects_negative_mean(self):
+        with pytest.raises(ValueError):
+            poisson_tail(1, -0.5)
 
 
 class TestTrapLoading:
