@@ -1,13 +1,13 @@
 """Simulate a single-photon pulse train and histogram the clicks.
 
 The illuminated gate dominates; the next few gates carry delayed detections
-from trap release, decaying onto the flat dark/afterpulse background. Click
-records pass through the time tagger's dead time before accumulation.
+from trap release, decaying onto the flat dark/afterpulse background. Each
+trial's clicks pass through the time tagger's dead time before accumulation.
 """
 
 from pathlib import Path
 
-from aftergate import PulseSpec, build_histogram, load_config, simulate_pulse_train
+from aftergate import PulseSpec, load_config, simulate_pulse_train
 from aftergate.io import write_histogram_csv
 from aftergate.svg import bar_chart
 
@@ -21,13 +21,12 @@ trials = 2_000_000
 gates = 12
 pulse = PulseSpec(mean_flux=0.1, delay=0.0)
 
-raw, records = simulate_pulse_train(det, [(0, pulse)], env, trials=trials,
-                                    seed=8081, window=gates, workers=4,
-                                    collect_records=True)
-hist = build_histogram(records, window=gates, dead_time=50_000.0,
-                       gate_period=det.timing.gate_period, trials=trials)
+dead_time = cfg.values["histogram"]["dead_time"]
+hist = simulate_pulse_train(det, [(0, pulse)], env, trials=trials, seed=8081,
+                            window=gates, workers=4, dead_time=dead_time)
 
-print(f"{trials} trials, flux 0.1 at the optimal delay, 50 ns dead time")
+print(f"{trials} trials, flux 0.1 at the optimal delay, "
+      f"{dead_time / 1000:g} ns dead time")
 print(f"{'gate':>5} {'counts':>9} {'per trial':>11}")
 for i, c in enumerate(hist.gate_counts, start=1):
     bar = "#" * max(1, int(40 * c / hist.gate_counts[0])) if c else ""

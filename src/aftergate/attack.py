@@ -115,6 +115,17 @@ def qber_with_dd(p_f: float, p_h: float, p_dd_f: float, p_dd_h: float) -> float:
     return qber_target(p_f_prime, p_h_prime)
 
 
+def _delay_grid(det: DetectorParams, delays) -> np.ndarray:
+    """The delays as a float array, checked to be a finite 1-D grid within
+    one gate period; the caller's order is kept."""
+    d = np.asarray(delays, dtype=float)
+    period = det.timing.gate_period
+    if d.ndim != 1 or not np.all((d >= 0) & (d < period)):
+        raise ValueError(f"delay grid must be a finite 1-D array within "
+                         f"[0, {period:g}) ps")
+    return d
+
+
 def sweep_delay(det: DetectorParams, scenario: AttackScenario,
                 delays) -> list[QberPoint]:
     """Evaluate both QBER forms over a grid of pulse delays.
@@ -122,9 +133,7 @@ def sweep_delay(det: DetectorParams, scenario: AttackScenario,
     No-signal delays (both probabilities exactly zero) yield NaN QBER fields
     rather than aborting the sweep, so output grids stay rectangular.
     """
-    d = np.sort(np.asarray(delays, dtype=float))
-    if np.any(d < 0) or np.any(d >= det.timing.gate_period):
-        raise ValueError("delay grid must lie within one gate period")
+    d = _delay_grid(det, delays)
     env = scenario.env
     p_f = click_probability_array(det, scenario.flux_full, d)
     p_h = click_probability_array(det, scenario.flux_half, d)
@@ -165,7 +174,7 @@ def gate2_vs_delay(det: DetectorParams, flux: float, delays,
     With both trap species active the curve first falls (multiplication-layer
     loading collapses with the avalanche charge) and then rises (interface
     survival grows as the wait to the next gate shrinks)."""
-    d = np.asarray(delays, dtype=float)
+    d = _delay_grid(det, delays)
     p = delayed_click_probability_arrays(det, flux, d, env, gate_offset=1)
     return [(float(di), float(pi)) for di, pi in zip(d, p)]
 
@@ -180,7 +189,7 @@ def contour_flux_delay(det: DetectorParams, env: Environment,
     f = np.asarray(fluxes, dtype=float)
     if np.any(f <= 0):
         raise ValueError("flux grid must be positive")
-    d = np.asarray(delays, dtype=float)
+    d = _delay_grid(det, delays)
     p_f = click_probability_array(det, f[:, None], d)
     p_h = click_probability_array(det, f[:, None] / 2.0, d)
     return _qber_array(p_f, p_h)

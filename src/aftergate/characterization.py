@@ -1,6 +1,6 @@
 """Turning per-gate histograms into trap physics.
 
-Covers dead-time-aware histogram construction from raw click records,
+Covers the dead-time filter on click matrices and raw click records,
 single-exponential lifetime extraction from two gates of a decay histogram,
 and the Arrhenius regression that converts lifetimes at several temperatures
 into an activation energy.
@@ -81,38 +81,48 @@ class ArrheniusFit:
             raise ValueError("lifetime_prefactor must be > 0")
 
 
-def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
-                    dead_time: float, gate_period: float,
-                    trials: int | None = None) -> GateHistogram:
-    """Accumulate per-gate counts, discarding clicks inside the dead time.
+def dead_time_counts(clicked: np.ndarray, dead_time: float,
+                     gate_period: float) -> np.ndarray:
+    """Per-gate counts of a (trial, gate) boolean click matrix after a
+    non-paralyzable dead time.
 
     Within each trial, a click closer than dead_time (ps) after the last
     accepted click is dropped; accepted clicks reset the dead-time anchor.
-    Clicks in different trials never suppress each other.
+    Trials (rows) never suppress each other. The loop runs over gates and is
+    vectorized over trials.
     """
-    if dead_time < 0:
+    if not dead_time >= 0:
         raise ValueError("dead_time must be >= 0")
+    columns = np.ascontiguousarray(np.asarray(clicked, dtype=bool).T)
+    last = np.full(columns.shape[1], -math.inf)
+    counts = np.zeros(columns.shape[0], dtype=np.int64)
+    for gate, column in enumerate(columns):
+        t = gate * gate_period
+        accept = column & (t - last >= dead_time)
+        counts[gate] = np.count_nonzero(accept)
+        np.copyto(last, t, where=accept)
+    return counts
+
+
+def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
+                    dead_time: float, gate_period: float,
+                    trials: int | None = None) -> GateHistogram:
+    """Accumulate per-gate counts from (trial, gate_index) click records,
+    discarding clicks inside the dead time (see dead_time_counts).
+
+    A gate clicks at most once per trial: repeated records count once.
+    """
     recs = np.asarray(list(click_records) if not isinstance(click_records, np.ndarray)
                       else click_records, dtype=np.int64)
-    counts = np.zeros(window, dtype=np.int64)
-    if recs.size:
-        if recs.ndim != 2 or recs.shape[1] != 2:
-            raise ValueError("click records must be (trial, gate_index) pairs")
-        if np.any(recs[:, 1] < 0) or np.any(recs[:, 1] >= window):
-            raise ValueError("gate index outside window")
-        order = np.lexsort((recs[:, 1], recs[:, 0]))
-        recs = recs[order]
-        last_trial = None
-        last_time = -math.inf
-        for trial, gate in recs:
-            t = gate * gate_period
-            if trial != last_trial:
-                last_trial = trial
-                last_time = -math.inf
-            if t - last_time < dead_time:
-                continue
-            counts[gate] += 1
-            last_time = t
+    if recs.size and (recs.ndim != 2 or recs.shape[1] != 2):
+        raise ValueError("click records must be (trial, gate_index) pairs")
+    recs = recs.reshape(-1, 2)
+    if np.any(recs[:, 1] < 0) or np.any(recs[:, 1] >= window):
+        raise ValueError("gate index outside window")
+    rows, row_of = np.unique(recs[:, 0], return_inverse=True)
+    clicked = np.zeros((rows.size, window), dtype=bool)
+    clicked[row_of, recs[:, 1]] = True
+    counts = dead_time_counts(clicked, dead_time, gate_period)
     return GateHistogram(gate_counts=counts, trials=trials,
                          gate_period=gate_period)
 

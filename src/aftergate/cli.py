@@ -20,7 +20,8 @@ from .attack import (QBER_THRESHOLD, AttackScenario, NoSignalError,
                      attack_histogram, contour_flux_delay, gate2_vs_delay,
                      key_rate, partial_attack_rates, sub_threshold_region,
                      sweep_delay)
-from .characterization import (LifetimeExtractionError, arrhenius_fit,
+# build_histogram is unused here; bench/tracer.py wraps it under this name.
+from .characterization import (LifetimeExtractionError, arrhenius_fit,  # noqa: F401
                                build_histogram)
 from .config import ConfigError, RunConfig, load_config
 from .feasibility import (attack_qber_at_frequency, feasibility_band,
@@ -133,14 +134,10 @@ def cmd_histogram(cfg: RunConfig, args, out: Path, run: dict) -> None:
                       delay=sec.get("pulse_delay", 0.0))
     if run["trials"] < 1:
         raise ConfigError("run.trials must be >= 1")
-    hist, records = simulate_pulse_train(
+    hist = simulate_pulse_train(
         cfg.detector, [(0, pulse)], cfg.environment, trials=run["trials"],
         seed=run["seed"], window=gates, workers=run["workers"],
-        collect_records=True)
-    hist = build_histogram(records, window=gates,
-                           dead_time=sec.get("dead_time", 50000.0),
-                           gate_period=cfg.detector.timing.gate_period,
-                           trials=run["trials"])
+        dead_time=sec.get("dead_time", 50000.0))
     io.write_histogram_csv(out / "histogram.csv", hist)
     svg.bar_chart(out / "histogram.svg",
                   [str(i + 1) for i in range(gates)], hist.gate_counts,

@@ -125,9 +125,6 @@ class RunConfig:
     environment: Environment
     values: dict = field(repr=False, default_factory=dict)
 
-    def section(self, name: str) -> dict:
-        return self.values[name]
-
 
 def default_config_path() -> Path:
     return Path(resources.files("aftergate").joinpath("data/default.ini"))

@@ -48,10 +48,6 @@ class Environment:
         if not (0.0 < self.excess_bias_fraction <= 1.0):
             raise ValueError("excess_bias_fraction must lie in (0, 1]")
 
-    @property
-    def boltzmann_constant(self) -> float:
-        return K_BOLTZMANN_EV
-
 
 @dataclass(frozen=True)
 class TrapSpecies:

@@ -42,18 +42,6 @@ def write_histogram_csv(path, hist: GateHistogram) -> None:
     _write_rows(path, ["gate_index", "counts", "trials", "probability"], rows)
 
 
-def read_histogram_csv(path) -> GateHistogram:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        counts, trials, period = [], None, 1000.0
-        for row in reader:
-            counts.append(float(row["counts"]))
-            trials = int(row["trials"])
-    trials = trials if trials else None
-    return GateHistogram(gate_counts=np.array(counts), trials=trials,
-                         gate_period=period)
-
-
 def write_sweep_csv(path, points) -> None:
     rows = [[p.delay, p.p_f, p.p_h, p.p_dd_f, p.p_dd_h, p.p_dd_bar,
              p.q_target, p.q_with_dd] for p in points]

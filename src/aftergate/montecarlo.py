@@ -2,74 +2,56 @@
 
 Trials are partitioned into fixed-size chunks; each chunk draws from its own
 Philox stream keyed by (seed, chunk_index), so the histogram is bit-identical
-for a given seed no matter how many workers execute the chunks. The reduction
-is an integer sum per gate, which is associative and commutative.
+for a given seed no matter how many workers execute the chunks. Each chunk
+applies the dead-time filter to its own click matrix and returns only its
+per-gate counts; the reduction is an integer sum per gate, which is
+associative and commutative.
 
-The per-trial sampling mirrors the analytic model exactly: avalanche counts
-are Poisson with mean flux * efficiency * shape(delay), a light click needs
-the gain-dependent threshold count, trap release counts per later gate are
-Poisson around the expected-value populations (Poisson thinning), and dark
-plus flat afterpulse background are independent Bernoulli draws per gate.
+Every click source of a gate is independent of the others and of every other
+gate: the light click (Poisson avalanche count at least the gain-dependent
+threshold), trap release (Poisson(mean) >= 1, a Bernoulli with probability
+1 - exp(-mean)), dark counts and the flat afterpulse background. So one
+uniform per (trial, gate) cell, compared with the exact per-gate click
+probability of the analytic oracle, samples the same law as drawing each
+source separately.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .detector import DetectorParams, Environment, PulseSpec, trap_loading, \
     delayed_release_mean, poisson_tail
-from .characterization import GateHistogram
+from .characterization import GateHistogram, dead_time_counts
 
 _CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class _PulsePlan:
-    gate: int
-    lam: float          # Poisson mean of triggered avalanches
-    n_th: int           # click threshold at the pulse delay
-    release_means: np.ndarray  # expected release clicks per later gate offset
-
-
-def _plan(det: DetectorParams, pulses, env: Environment, window: int):
-    plans = []
-    for gate, pulse in pulses:
-        tail = window - gate - 1
-        offsets = np.arange(1, tail + 1, dtype=float)
-        state = trap_loading(det, pulse)
-        rel = delayed_release_mean(det, state, env, offsets) if tail > 0 else np.zeros(0)
-        plans.append(_PulsePlan(
-            gate=gate,
-            lam=float(det.mean_avalanches(pulse.mean_flux, pulse.delay)),
-            n_th=int(det.threshold_count(pulse.delay)),
-            release_means=rel,
-        ))
-    return plans
 
 
 def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
                                 window: int) -> np.ndarray:
     """Exact per-gate click probabilities for the same composition the
-    Monte Carlo engine samples. This is the oracle the engine is tested
-    against."""
-    p_no_click, ap_bg = _no_click_and_background(
-        det, _plan(det, pulses, env, window), window)
-    return 1.0 - p_no_click * (1.0 - ap_bg)
+    Monte Carlo engine samples: the engine draws against this vector.
 
-
-def _no_click_and_background(det: DetectorParams, plans, window: int):
-    """Per-gate probability that neither light, trap release nor a dark
-    count clicks, and the flat afterpulse background that implies."""
+    The per-gate probability that neither light, trap release nor a dark
+    count clicks sets the flat afterpulse background, an independent last
+    source."""
     p_no_click = np.full(window, 1.0 - det.dark_count_prob)
-    for plan in plans:
-        p_no_click[plan.gate] *= 1.0 - float(poisson_tail(plan.n_th, plan.lam))
-        for k, mean in enumerate(plan.release_means, start=1):
-            p_no_click[plan.gate + k] *= np.exp(-mean)
-    return p_no_click, afterpulse_background(det, 1.0 - p_no_click)
+    for gate, pulse in pulses:
+        lam = float(det.mean_avalanches(pulse.mean_flux, pulse.delay))
+        n_th = int(det.threshold_count(pulse.delay))
+        p_no_click[gate] *= 1.0 - float(poisson_tail(n_th, lam))
+        tail = window - gate - 1
+        if tail > 0:
+            offsets = np.arange(1, tail + 1, dtype=float)
+            release = delayed_release_mean(det, trap_loading(det, pulse), env,
+                                           offsets)
+            for k, mean in enumerate(release, start=1):
+                p_no_click[gate + k] *= np.exp(-mean)
+    ap_bg = afterpulse_background(det, 1.0 - p_no_click)
+    return 1.0 - p_no_click * (1.0 - ap_bg)
 
 
 def afterpulse_background(det: DetectorParams, base_probabilities) -> float:
@@ -79,22 +61,12 @@ def afterpulse_background(det: DetectorParams, base_probabilities) -> float:
     return det.afterpulse_prob * mean_det / det.afterpulse_spread_gates
 
 
-def _run_chunk(seed: int, chunk_index: int, n: int, window: int,
-               plans, dark: float, ap_bg: float):
+def _run_chunk(seed: int, chunk_index: int, n: int, p_click: np.ndarray,
+               dead_time: float, gate_period: float) -> np.ndarray:
     key = np.array([seed % (1 << 64), chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    clicked = np.zeros((n, window), dtype=bool)
-    for plan in plans:
-        n_av = rng.poisson(plan.lam, size=n)
-        clicked[:, plan.gate] |= n_av >= plan.n_th
-        for k, mean in enumerate(plan.release_means, start=1):
-            if mean > 0.0:
-                clicked[:, plan.gate + k] |= rng.poisson(mean, size=n) >= 1
-    if dark > 0.0:
-        clicked |= rng.random((n, window)) < dark
-    if ap_bg > 0.0:
-        clicked |= rng.random((n, window)) < ap_bg
-    return clicked
+    clicked = rng.random((n, p_click.size)) < p_click
+    return dead_time_counts(clicked, dead_time, gate_period)
 
 
 def simulate_pulse_train(det: DetectorParams,
@@ -104,16 +76,18 @@ def simulate_pulse_train(det: DetectorParams,
                          seed: int,
                          window: int | None = None,
                          workers: int = 1,
-                         collect_records: bool = False):
+                         dead_time: float = 0.0) -> GateHistogram:
     """Sample `trials` repetitions of a pulse train and histogram the clicks.
 
     pulses is a sequence of (gate_index, PulseSpec) with strictly increasing
-    gate indices. Returns a GateHistogram of integer counts per gate; with
-    collect_records=True also returns the raw (trial, gate_index) click
-    records for dead-time processing.
+    gate indices. Each trial's clicks pass a non-paralyzable dead time (ps;
+    0 keeps every click) before they are counted. Returns a GateHistogram of
+    integer counts per gate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not dead_time >= 0:
+        raise ValueError("dead_time must be >= 0")
     if not pulses:
         raise ValueError("at least one pulse is required")
     gates = [g for g, _ in pulses]
@@ -126,36 +100,17 @@ def simulate_pulse_train(det: DetectorParams,
     if window <= gates[-1]:
         raise ValueError(f"window {window} too small to contain all pulses")
 
-    plans = _plan(det, pulses, env, window)
-    _, ap_bg = _no_click_and_background(det, plans, window)
-
+    p_click = analytic_gate_probabilities(det, pulses, env, window)
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
-    sizes = [min(_CHUNK, trials - i * _CHUNK) for i in range(n_chunks)]
 
     def work(i):
-        return _run_chunk(seed, i, sizes[i], window, plans,
-                          det.dark_count_prob, ap_bg)
+        return _run_chunk(seed, i, min(_CHUNK, trials - i * _CHUNK), p_click,
+                          dead_time, det.timing.gate_period)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, range(n_chunks)))
+            counts = sum(pool.map(work, range(n_chunks)))
     else:
-        chunks = [work(i) for i in range(n_chunks)]
-
-    counts = np.zeros(window, dtype=np.int64)
-    records = [] if collect_records else None
-    offset = 0
-    for i, clicked in enumerate(chunks):
-        counts += clicked.sum(axis=0, dtype=np.int64)
-        if collect_records:
-            t_idx, g_idx = np.nonzero(clicked)
-            records.append(np.column_stack([t_idx + offset, g_idx]))
-        offset += sizes[i]
-
-    hist = GateHistogram(gate_counts=counts, trials=trials,
+        counts = sum(map(work, range(n_chunks)))
+    return GateHistogram(gate_counts=counts, trials=trials,
                          gate_period=det.timing.gate_period)
-    if collect_records:
-        recs = (np.concatenate(records, axis=0) if records
-                else np.zeros((0, 2), dtype=np.int64))
-        return hist, recs
-    return hist

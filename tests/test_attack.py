@@ -143,6 +143,39 @@ class TestSweep:
                         np.array([0.0, 1200.0]))
 
 
+class TestDelayGridValidation:
+    BAD = (-50.0, 5000.0)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sweep_rejects_delay_outside_period(self, det, env, bad):
+        with pytest.raises(ValueError, match="delay grid"):
+            sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
+                        [20.0, bad])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_gate2_rejects_delay_outside_period(self, det, env, bad):
+        with pytest.raises(ValueError, match="delay grid"):
+            gate2_vs_delay(det, 80.0, [20.0, bad], env)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_contour_rejects_delay_outside_period(self, det, env, bad):
+        with pytest.raises(ValueError, match="delay grid"):
+            contour_flux_delay(det, env, [20.0, 80.0], [20.0, bad])
+
+    @pytest.mark.parametrize("delays", [[20.0, math.nan], [[20.0, 40.0]]])
+    def test_non_finite_or_not_1d_rejected(self, det, env, delays):
+        with pytest.raises(ValueError, match="delay grid"):
+            gate2_vs_delay(det, 80.0, delays, env)
+
+    def test_sweep_keeps_caller_order(self, det, env):
+        pts = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
+                          [150.0, 20.0])
+        assert [p.delay for p in pts] == [150.0, 20.0]
+        forward = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
+                              [20.0, 150.0])
+        assert pts == forward[::-1]
+
+
 def dip_delay(det, env, grid):
     points = sweep_delay(det, AttackScenario(flux_full=80.0, env=env), grid)
     q = np.array([p.q_target for p in points])

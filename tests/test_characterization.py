@@ -12,11 +12,43 @@ from aftergate import (Environment, GateHistogram, LifetimeExtractionError,
                        LifetimePoint, PulseSpec, TrapKind, TrapSpecies,
                        arrhenius_fit, build_histogram, extract_lifetime,
                        trap_lifetime)
-from aftergate.characterization import estimate_background
+from aftergate.characterization import dead_time_counts, estimate_background
 from aftergate.detector import DetectorParams, GateTiming
 from aftergate.montecarlo import analytic_gate_probabilities
 
 KB = 8.617e-5
+
+
+def reference_dead_time_counts(click_records, window, dead_time,
+                               gate_period):
+    """The record-by-record dead-time loop the vectorized filter replaced,
+    kept as its oracle."""
+    recs = np.asarray(click_records, dtype=np.int64).reshape(-1, 2)
+    counts = np.zeros(window, dtype=np.int64)
+    if recs.size:
+        order = np.lexsort((recs[:, 1], recs[:, 0]))
+        recs = recs[order]
+        last_trial = None
+        last_time = -math.inf
+        for trial, gate in recs:
+            t = gate * gate_period
+            if trial != last_trial:
+                last_trial = trial
+                last_time = -math.inf
+            if t - last_time < dead_time:
+                continue
+            counts[gate] += 1
+            last_time = t
+    return counts
+
+
+@st.composite
+def click_matrices(draw):
+    trials = draw(st.integers(1, 20))
+    window = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.booleans(), min_size=trials * window,
+                          max_size=trials * window))
+    return np.array(cells, dtype=bool).reshape(trials, window)
 
 
 class TestBuildHistogram:
@@ -67,6 +99,36 @@ class TestBuildHistogram:
         hi = build_histogram(records, window=10, dead_time=dt_a + extra,
                              gate_period=1000.0)
         assert hi.gate_counts.sum() <= lo.gate_counts.sum()
+
+    @given(click_matrices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_filter_matches_record_loop(self, clicked, data):
+        # 1, 1.25 and 3 GHz gate periods (ps)
+        period = data.draw(st.sampled_from([1000.0, 800.0, 1000.0 / 3]))
+        span = clicked.shape[1] * period
+        dead_time = data.draw(st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=period, exclude_min=True,
+                      exclude_max=True),
+            st.sampled_from([period, 2 * period, 2.5 * period]),
+            st.floats(min_value=span, max_value=10 * span)))
+        records = np.argwhere(clicked)
+        expected = reference_dead_time_counts(records, clicked.shape[1],
+                                              dead_time, period)
+        assert np.array_equal(dead_time_counts(clicked, dead_time, period),
+                              expected)
+        hist = build_histogram(records, window=clicked.shape[1],
+                               dead_time=dead_time, gate_period=period)
+        assert np.array_equal(hist.gate_counts, expected)
+
+    def test_repeated_record_counts_once(self):
+        hist = build_histogram([(0, 1), (0, 1), (3, 1)], window=3,
+                               dead_time=0.0, gate_period=1000.0)
+        assert list(hist.gate_counts) == [0, 2, 0]
+
+    def test_nan_dead_time_rejected(self):
+        with pytest.raises(ValueError):
+            dead_time_counts(np.ones((2, 3), dtype=bool), math.nan, 1000.0)
 
     def test_longer_dead_time_can_raise_one_gate(self):
         # the longer dead time drops the gate-5 click that blocked gate 6

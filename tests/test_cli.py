@@ -153,6 +153,14 @@ class TestErrorPaths:
     def test_usage_error_is_config_error(self, tmp_path, capsys):
         assert main(["no-such-command"]) == 1
 
+    def test_gate2_delay_outside_period_is_numerical_failure(self, tmp_path,
+                                                             capsys):
+        code = run(tmp_path, "--set", "gate2.delay_max=5000", "gate2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "delay grid" in err
+        assert not (tmp_path / "gate2.csv").exists()
+
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         import aftergate.cli as cli
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envout"))

@@ -1,10 +1,11 @@
-"""Monte Carlo engine: determinism, analytic agreement, record collection."""
+"""Monte Carlo engine: determinism, analytic agreement, dead time."""
 
 import numpy as np
 import pytest
 
 from aftergate import PulseSpec, simulate_pulse_train
-from aftergate.montecarlo import analytic_gate_probabilities
+from aftergate.io import write_histogram_csv
+from aftergate.montecarlo import _CHUNK, analytic_gate_probabilities
 
 
 def pulses(mu=0.1, delay=0.0):
@@ -59,12 +60,56 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             simulate_pulse_train(det, specs, env, trials=10, seed=1, window=8)
 
-    def test_records_match_counts(self, det, env):
-        h, recs = simulate_pulse_train(det, pulses(mu=40.0, delay=150.0), env,
-                                       trials=5000, seed=11, window=6,
-                                       collect_records=True)
-        rebuilt = np.bincount(recs[:, 1], minlength=6)
-        assert np.array_equal(rebuilt, h.gate_counts)
+    def test_negative_dead_time_rejected(self, det, env):
+        with pytest.raises(ValueError):
+            simulate_pulse_train(det, pulses(), env, trials=10, seed=1,
+                                 dead_time=-1.0)
+
+
+class TestDeadTime:
+    def test_zero_dead_time_equals_unfiltered_counts(self, det, env):
+        # the documented stream: chunk i draws one uniform per (trial, gate)
+        # cell from Philox keyed by (seed, i) against the oracle's vector
+        train = pulses(mu=40.0, delay=150.0)
+        trials, window, seed = 20000, 6, 11
+        p = analytic_gate_probabilities(det, train, env, window)
+        expected = np.zeros(window, dtype=np.int64)
+        for i, start in enumerate(range(0, trials, _CHUNK)):
+            rng = np.random.Generator(np.random.Philox(
+                key=np.array([seed, i], dtype=np.uint64)))
+            n = min(_CHUNK, trials - start)
+            expected += (rng.random((n, window)) < p).sum(axis=0)
+        h = simulate_pulse_train(det, train, env, trials=trials, seed=seed,
+                                 window=window, dead_time=0.0)
+        assert np.array_equal(h.gate_counts, expected)
+
+    def test_histogram_bytes_identical_across_workers(self, det, env,
+                                                      tmp_path):
+        files = []
+        for workers in (1, 2, 3):
+            h = simulate_pulse_train(det, pulses(mu=40.0, delay=150.0), env,
+                                     trials=30000, seed=7, window=8,
+                                     workers=workers, dead_time=2500.0)
+            path = tmp_path / f"w{workers}.csv"
+            write_histogram_csv(path, h)
+            files.append(path.read_bytes())
+        assert files[0] == files[1] == files[2]
+
+    @pytest.mark.parametrize("mu, delay", [(0.1, 0.0), (40.0, 150.0)])
+    def test_long_dead_time_follows_first_click_law(self, det, env, mu,
+                                                    delay):
+        # a dead time at least the window span keeps only each trial's
+        # first click: gate g counts with probability p_g * prod_{j<g}(1-p_j)
+        trials, window = 100000, 10
+        train = pulses(mu=mu, delay=delay)
+        h = simulate_pulse_train(det, train, env, trials=trials, seed=31,
+                                 window=window,
+                                 dead_time=window * det.timing.gate_period)
+        p = analytic_gate_probabilities(det, train, env, window)
+        first = p * np.concatenate([[1.0], np.cumprod(1.0 - p)[:-1]])
+        freq = h.gate_counts / trials
+        se = np.sqrt(first * (1 - first) / trials)
+        assert np.all(np.abs(freq - first) <= 4 * se + 1e-12)
 
 
 class TestAnalyticAgreement:
