@@ -9,9 +9,7 @@ from .detector import (
     PulseSpec,
     TrapKind,
     TrapSpecies,
-    TrapState,
     click_probability,
-    delayed_click_probability,
     survival_fraction,
     trap_lifetime,
     trap_loading,

@@ -10,7 +10,6 @@ carriers contribute.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,11 @@ class NoSignalError(ValueError):
 
 @dataclass(frozen=True)
 class AttackScenario:
-    """Attack parameters: full/half fluxes, pulse delay, attacked fraction."""
+    """Attack parameters: full/half fluxes and pulse delay."""
 
     flux_full: float
     flux_half: float | None = None
     delay: float = 0.0
-    attacked_fraction: float = 1.0
     env: Environment = Environment(temperature=293.15)
 
     def __post_init__(self):
@@ -43,8 +41,6 @@ class AttackScenario:
             object.__setattr__(self, "flux_half", self.flux_full / 2.0)
         if not (self.flux_full >= self.flux_half >= 0):
             raise ValueError("need flux_full >= flux_half >= 0")
-        if not (0.0 <= self.attacked_fraction <= 1.0):
-            raise ValueError("attacked_fraction must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,37 @@ class KeyRateResult:
     rate: float
 
 
+def _qber_array(p_f, p_h):
+    """Target-gate QBER (2 p_h - p_h^2) / (2 p_f + 2 (2 p_h - p_h^2));
+    NaN where both probabilities vanish."""
+    s = 2.0 * p_h - p_h * p_h
+    denom = 2.0 * p_f + 2.0 * s
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0.0, s / denom, np.nan)
+
+
+def _mean_delayed_array(p_dd_f, p_dd_h):
+    return 0.25 * p_dd_f + 0.5 * p_dd_h
+
+
+def _qber_with_dd_array(p_f, p_h, p_bar):
+    return _qber_array(np.minimum(p_f + p_bar, 1.0),
+                       np.minimum(p_h + p_bar, 1.0))
+
+
+def _probabilities(*probs) -> np.ndarray:
+    arr = np.array(probs, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    return arr
+
+
+def _defined(q) -> float:
+    if np.isnan(q):
+        raise NoSignalError("no detections at either power: QBER undefined")
+    return float(q)
+
+
 def qber_target(p_f: float, p_h: float) -> float:
     """QBER seen at the target gate for full/half click probabilities.
 
@@ -74,19 +101,7 @@ def qber_target(p_f: float, p_h: float) -> float:
     power; either may click (union 2*p_h - p_h**2) and the resulting bit is
     random. Returns (2 p_h - p_h^2) / (2 p_f + 2 (2 p_h - p_h^2)).
     """
-    if not (0.0 <= p_f <= 1.0 and 0.0 <= p_h <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if p_f == 0.0 and p_h == 0.0:
-        raise NoSignalError("no detections at either power: QBER undefined")
-    s = 2.0 * p_h - p_h * p_h
-    return s / (2.0 * p_f + 2.0 * s)
-
-
-def _qber_array(p_f, p_h):
-    s = 2.0 * p_h - p_h * p_h
-    denom = 2.0 * p_f + 2.0 * s
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom > 0.0, s / denom, np.nan)
+    return _defined(_qber_array(*_probabilities(p_f, p_h)))
 
 
 def mean_delayed(p_dd_f: float, p_dd_h: float) -> float:
@@ -96,9 +111,7 @@ def mean_delayed(p_dd_f: float, p_dd_h: float) -> float:
     produced the delayed carriers with the full pulse in one detector, a
     mismatched basis with half pulses in both.
     """
-    if not (0.0 <= p_dd_f <= 1.0 and 0.0 <= p_dd_h <= 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return 0.25 * p_dd_f + 0.5 * p_dd_h
+    return float(_mean_delayed_array(*_probabilities(p_dd_f, p_dd_h)))
 
 
 def qber_with_dd(p_f: float, p_h: float, p_dd_f: float, p_dd_h: float) -> float:
@@ -107,12 +120,9 @@ def qber_with_dd(p_f: float, p_h: float, p_dd_f: float, p_dd_h: float) -> float:
     The mean delayed probability is added to both detection probabilities
     (clamped at 1) before applying the target-gate formula.
     """
-    p_bar = mean_delayed(p_dd_f, p_dd_h)
-    p_f_prime = min(p_f + p_bar, 1.0)
-    p_h_prime = min(p_h + p_bar, 1.0)
-    if p_f_prime == 0.0 and p_h_prime == 0.0:
-        raise NoSignalError("no detections at either power: QBER undefined")
-    return qber_target(p_f_prime, p_h_prime)
+    p_f, p_h, p_dd_f, p_dd_h = _probabilities(p_f, p_h, p_dd_f, p_dd_h)
+    return _defined(_qber_with_dd_array(p_f, p_h,
+                                        _mean_delayed_array(p_dd_f, p_dd_h)))
 
 
 def _delay_grid(det: DetectorParams, delays) -> np.ndarray:
@@ -126,6 +136,19 @@ def _delay_grid(det: DetectorParams, delays) -> np.ndarray:
     return d
 
 
+def _sweep_arrays(det: DetectorParams, flux_full: float, flux_half: float,
+                  delays, env: Environment):
+    """p_f, p_h, p_dd_f, p_dd_h, p_bar, q_target and q_with_dd over a delay
+    grid; no-signal delays give NaN QBERs."""
+    p_f = click_probability_array(det, flux_full, delays)
+    p_h = click_probability_array(det, flux_half, delays)
+    p_ddf = delayed_click_probability_arrays(det, flux_full, delays, env)
+    p_ddh = delayed_click_probability_arrays(det, flux_half, delays, env)
+    p_bar = _mean_delayed_array(p_ddf, p_ddh)
+    return (p_f, p_h, p_ddf, p_ddh, p_bar, _qber_array(p_f, p_h),
+            _qber_with_dd_array(p_f, p_h, p_bar))
+
+
 def sweep_delay(det: DetectorParams, scenario: AttackScenario,
                 delays) -> list[QberPoint]:
     """Evaluate both QBER forms over a grid of pulse delays.
@@ -134,19 +157,9 @@ def sweep_delay(det: DetectorParams, scenario: AttackScenario,
     rather than aborting the sweep, so output grids stay rectangular.
     """
     d = _delay_grid(det, delays)
-    env = scenario.env
-    p_f = click_probability_array(det, scenario.flux_full, d)
-    p_h = click_probability_array(det, scenario.flux_half, d)
-    p_ddf = delayed_click_probability_arrays(det, scenario.flux_full, d, env)
-    p_ddh = delayed_click_probability_arrays(det, scenario.flux_half, d, env)
-    p_bar = 0.25 * p_ddf + 0.5 * p_ddh
-    q = _qber_array(p_f, p_h)
-    q_dd = _qber_array(np.minimum(p_f + p_bar, 1.0),
-                       np.minimum(p_h + p_bar, 1.0))
-    return [QberPoint(float(d[i]), float(p_f[i]), float(p_h[i]),
-                      float(p_ddf[i]), float(p_ddh[i]), float(p_bar[i]),
-                      float(q[i]), float(q_dd[i]))
-            for i in range(len(d))]
+    columns = _sweep_arrays(det, scenario.flux_full, scenario.flux_half, d,
+                            scenario.env)
+    return [QberPoint(*map(float, row)) for row in zip(d, *columns)]
 
 
 def attack_histogram(det: DetectorParams, scenario: AttackScenario,

@@ -24,8 +24,7 @@ from .attack import (QBER_THRESHOLD, AttackScenario, NoSignalError,
 from .characterization import (LifetimeExtractionError, arrhenius_fit,  # noqa: F401
                                build_histogram)
 from .config import ConfigError, RunConfig, load_config
-from .feasibility import (attack_qber_at_frequency, feasibility_band,
-                          noise_qber, rescale_detector, suitable_interval)
+from .feasibility import feasibility_band, noise_qber, suitable_interval
 from .montecarlo import simulate_pulse_train
 from .detector import K_BOLTZMANN_EV, PulseSpec
 
@@ -104,7 +103,6 @@ def _scenario(cfg: RunConfig) -> AttackScenario:
     return AttackScenario(
         flux_full=sec.get("flux_full", 80.0),
         flux_half=sec.get("flux_half"),
-        attacked_fraction=sec.get("attacked_fraction", 1.0),
         env=cfg.environment,
     )
 

@@ -8,7 +8,7 @@ fields. Unknown sections or keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -67,7 +67,6 @@ _SCHEMA = {
         "flux_half": float,
         "signal_flux": float,
         "attack_flux": float,
-        "attacked_fraction": float,
         "attack_delay": _auto_or_float,
     },
     "sweep": {
@@ -170,15 +169,13 @@ def _apply_overrides(values: dict, overrides) -> None:
             raise ConfigError(f"bad value for {target}: {raw!r}") from exc
 
 
-def _build_trap(kind: TrapKind, sec: dict) -> TrapSpecies:
-    return TrapSpecies(
-        kind=kind,
-        activation_energy=sec["activation_energy"],
-        lifetime_prefactor=sec["lifetime_prefactor"],
-        capture_fraction_photo=sec.get("capture_fraction_photo", 0.0),
-        capture_per_avalanche_charge=sec.get("capture_per_avalanche_charge", 0.0),
-        retention_strength=sec.get("retention_strength", 0.0),
-    )
+def _build(cls, sec: dict, **fixed):
+    """cls from the keys present in sec plus `fixed`; an absent key takes
+    the field's default, and an absent field without one is a KeyError."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in sec and f.name not in fixed:
+            raise KeyError(f.name)
+    return cls(**fixed, **sec)
 
 
 def load_config(path: str | Path | None = None,
@@ -194,32 +191,18 @@ def load_config(path: str | Path | None = None,
     missing = [s for s in _REQUIRED_SECTIONS if s not in values]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
-    det_sec = values["detector"]
+    det_sec = dict(values["detector"])
     try:
-        timing = GateTiming(gating_frequency=det_sec["gating_frequency"],
-                            gate_width=det_sec["gate_width"])
-        detector = DetectorParams(
-            timing=timing,
-            detection_efficiency=det_sec["detection_efficiency"],
-            discrimination_threshold=det_sec["discrimination_threshold"],
-            dark_count_prob=det_sec["dark_count_prob"],
-            afterpulse_prob=det_sec["afterpulse_prob"],
-            afterpulse_spread_gates=det_sec.get("afterpulse_spread_gates", 100),
-            trigger_peak=det_sec.get("trigger_peak", 0.85),
-            trigger_flat_fraction=det_sec.get("trigger_flat_fraction", 0.57),
-            gain_flat_fraction=det_sec.get("gain_flat_fraction", 0.36),
-            gain_edge_fraction=det_sec.get("gain_edge_fraction", 0.63),
-            gain_floor=det_sec.get("gain_floor", 0.10),
-            interface_trap=_build_trap(TrapKind.INTERFACE,
-                                       values["traps.interface"]),
-            multiplication_trap=_build_trap(TrapKind.MULTIPLICATION,
-                                            values["traps.multiplication"]),
-        )
-        env_sec = values["environment"]
-        environment = Environment(
-            temperature=env_sec["temperature"],
-            excess_bias_fraction=env_sec.get("excess_bias_fraction", 0.5),
-        )
+        timing = GateTiming(gating_frequency=det_sec.pop("gating_frequency"),
+                            gate_width=det_sec.pop("gate_width"))
+        detector = _build(
+            DetectorParams, det_sec, timing=timing,
+            interface_trap=_build(TrapSpecies, values["traps.interface"],
+                                  kind=TrapKind.INTERFACE),
+            multiplication_trap=_build(TrapSpecies,
+                                       values["traps.multiplication"],
+                                       kind=TrapKind.MULTIPLICATION))
+        environment = _build(Environment, values["environment"])
     except (KeyError, ValueError) as exc:
         if isinstance(exc, KeyError):
             raise ConfigError(f"missing config key: {exc}") from exc

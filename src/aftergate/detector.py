@@ -16,7 +16,7 @@ All times are picoseconds, all energies eV, all probabilities dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -224,19 +224,6 @@ class PulseSpec:
                 f"delay {self.delay} outside [0, {timing.gate_period}) ps")
 
 
-@dataclass(frozen=True)
-class TrapState:
-    """Expected trapped-carrier populations left behind by one pulse."""
-
-    interface_population: float
-    multiplication_population: float
-    loaded_at: float  # ps, pulse delay within its gate
-
-    def __post_init__(self):
-        if self.interface_population < 0 or self.multiplication_population < 0:
-            raise ValueError("trap populations must be >= 0")
-
-
 # ---------------------------------------------------------------------------
 # analytic operations
 # ---------------------------------------------------------------------------
@@ -325,9 +312,9 @@ def click_probability(det: DetectorParams, pulse: PulseSpec) -> float:
     return float(click_probability_array(det, pulse.mean_flux, pulse.delay))
 
 
-def trap_loading(det: DetectorParams, pulse: PulseSpec,
-                 env: Environment | None = None) -> TrapState:
-    """Expected trap populations charged by one pulse.
+def trap_loading(det: DetectorParams, mean_flux, delays):
+    """Expected (interface, multiplication) trap populations charged by a
+    pulse of this mean flux at each delay; both broadcast.
 
     Interface: photogenerated holes that fail to cross the heterobarrier
     within the gate, times the capture fraction. Multiplication: expected
@@ -335,63 +322,6 @@ def trap_loading(det: DetectorParams, pulse: PulseSpec,
     an end-of-gate retention factor (more charge stays trapped when the gate
     closes before the avalanche fully develops). Both scale linearly in flux.
     """
-    pulse.validate_against(det.timing)
-    carriers = pulse.mean_flux * det.detection_efficiency
-    uncrossed = 1.0 - float(det.trigger_probability(pulse.delay))
-    pop_if = carriers * det.interface_trap.capture_fraction_photo * uncrossed
-
-    lam = float(det.mean_avalanches(pulse.mean_flux, pulse.delay))
-    g = float(det.gain(pulse.delay))
-    mult = det.multiplication_trap
-    retention = 1.0 + mult.retention_strength * (1.0 - g)
-    pop_mult = mult.capture_per_avalanche_charge * lam * g * retention
-    return TrapState(pop_if, pop_mult, pulse.delay)
-
-
-def release_expectation(population: float, survival_start: float,
-                        survival_end: float, trigger: float) -> float:
-    """Expected released-and-triggering carriers in one gate window."""
-    if survival_end > survival_start:
-        raise ValueError("survival must not increase with elapsed time")
-    return population * (survival_start - survival_end) * trigger
-
-
-def delayed_release_mean(det: DetectorParams, state: TrapState,
-                         env: Environment, gate_offset) -> np.ndarray:
-    """Expected released-and-triggering carriers at the given gate offsets."""
-    offs = np.asarray(gate_offset, dtype=float)
-    period = det.timing.gate_period
-    width = det.timing.gate_width
-    start = offs * period - state.loaded_at
-    total = np.zeros_like(offs, dtype=float)
-    for species, pop in ((det.interface_trap, state.interface_population),
-                         (det.multiplication_trap, state.multiplication_population)):
-        if pop == 0.0:
-            continue
-        tau = trap_lifetime(species, env)
-        total += pop * (np.exp(-start / tau) - np.exp(-(start + width) / tau))
-    return total * det.trigger_peak
-
-
-def delayed_click_probability(det: DetectorParams, state: TrapState,
-                              env: Environment, gate_offset: int) -> float:
-    """Click probability from trap release in the gate `gate_offset` later.
-
-    Each species contributes population x (survival to the gate start minus
-    survival to the gate end) x the mid-gate trigger probability; the click
-    probability is 1 - exp(-total), folded with the dark count probability.
-    """
-    if gate_offset < 1:
-        raise ValueError("gate_offset must be >= 1 (the target gate is "
-                         "handled by click_probability)")
-    mean = float(delayed_release_mean(det, state, env, gate_offset))
-    return 1.0 - math.exp(-mean) * (1.0 - det.dark_count_prob)
-
-
-def delayed_click_probability_arrays(det: DetectorParams, mean_flux: float,
-                                     delays, env: Environment,
-                                     gate_offset: int = 1) -> np.ndarray:
-    """Vectorized offset-`gate_offset` delayed click probability over delays."""
     d = np.asarray(delays, dtype=float)
     carriers = mean_flux * det.detection_efficiency
     pop_if = (carriers * det.interface_trap.capture_fraction_photo
@@ -401,13 +331,44 @@ def delayed_click_probability_arrays(det: DetectorParams, mean_flux: float,
     mult = det.multiplication_trap
     pop_m = (mult.capture_per_avalanche_charge * lam * g
              * (1.0 + mult.retention_strength * (1.0 - g)))
-    period = det.timing.gate_period
+    return pop_if, pop_m
+
+
+def delayed_release_mean(det: DetectorParams, mean_flux, delays,
+                         env: Environment, gate_offset=1) -> np.ndarray:
+    """Expected released-and-triggering carriers in the gate `gate_offset`
+    periods after a pulse at each delay; delays and offsets broadcast.
+
+    Each species contributes its population x (survival to the gate start
+    minus survival to the gate end) x the peak trigger probability.
+    """
+    offs = np.asarray(gate_offset, dtype=float)
+    if not np.all(offs >= 1):
+        raise ValueError("gate_offset must be >= 1 (the target gate is "
+                         "handled by click_probability)")
+    d = np.asarray(delays, dtype=float)
+    start = offs * det.timing.gate_period - d
     width = det.timing.gate_width
-    start = gate_offset * period - d
-    total = np.zeros_like(d, dtype=float)
-    for species, pop in ((det.interface_trap, pop_if),
-                         (det.multiplication_trap, pop_m)):
+    total = 0.0
+    for species, pop in zip((det.interface_trap, det.multiplication_trap),
+                            trap_loading(det, mean_flux, d)):
         tau = trap_lifetime(species, env)
-        total = total + pop * (np.exp(-start / tau) - np.exp(-(start + width) / tau))
-    mean = total * det.trigger_peak
+        total = total + pop * (np.exp(-start / tau)
+                               - np.exp(-(start + width) / tau))
+    return total * det.trigger_peak
+
+
+def delayed_click_probability_arrays(det: DetectorParams, mean_flux,
+                                     delays, env: Environment,
+                                     gate_offset=1) -> np.ndarray:
+    """Click probability from trap release in the gate `gate_offset` later:
+    Poisson(mean) >= 1, folded with the dark count probability."""
+    mean = delayed_release_mean(det, mean_flux, delays, env, gate_offset)
     return 1.0 - np.exp(-mean) * (1.0 - det.dark_count_prob)
+
+
+def afterpulse_background(det: DetectorParams, base_probabilities) -> float:
+    """Flat per-gate afterpulse background, proportional to the mean detected
+    rate and spread over afterpulse_spread_gates gates."""
+    mean_det = float(np.mean(base_probabilities))
+    return det.afterpulse_prob * mean_det / det.afterpulse_spread_gates

@@ -15,11 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attack import QBER_THRESHOLD, _qber_array
-from .detector import (DetectorParams, Environment, GateTiming, PulseSpec,
-                       click_probability, trap_lifetime, trap_loading,
-                       click_probability_array,
-                       delayed_click_probability_arrays)
+from .attack import QBER_THRESHOLD, _sweep_arrays
+# click_probability_array, delayed_click_probability_arrays, trap_lifetime
+# and trap_loading are unused here; bench/tracer.py wraps them by these names.
+from .detector import (DetectorParams, Environment, GateTiming,  # noqa: F401
+                       PulseSpec, afterpulse_background, click_probability,
+                       click_probability_array, delayed_click_probability_arrays,
+                       delayed_release_mean, trap_lifetime, trap_loading)
 
 
 @dataclass(frozen=True)
@@ -64,18 +66,12 @@ def noise_qber(det: DetectorParams, env: Environment,
     """
     if signal_flux <= 0:
         raise ValueError("signal_flux must be > 0")
-    pulse = PulseSpec(mean_flux=signal_flux, delay=0.0)
-    p_sig = click_probability(det, pulse)
-    state = trap_loading(det, pulse)
-    period = det.timing.gate_period
-    width = det.timing.gate_width
-    tau = trap_lifetime(det.interface_trap, env)
-    mean = (state.interface_population
-            * (math.exp(-period / tau) - math.exp(-(period + width) / tau))
-            * det.trigger_peak)
+    p_sig = click_probability(det, PulseSpec(mean_flux=signal_flux, delay=0.0))
+    interface_only = replace(det, multiplication_trap=replace(
+        det.multiplication_trap, capture_per_avalanche_charge=0.0))
+    mean = float(delayed_release_mean(interface_only, signal_flux, 0.0, env))
     p_dd = 1.0 - math.exp(-mean)
-    p_other = det.dark_count_prob + (det.afterpulse_prob * p_sig
-                                     / det.afterpulse_spread_gates)
+    p_other = det.dark_count_prob + afterpulse_background(det, p_sig)
     total = p_sig + p_dd + p_other
     if total <= 0.0:
         raise ValueError("zero total detection probability")
@@ -95,12 +91,7 @@ def attack_qber_at_frequency(det: DetectorParams, env: Environment,
     width = det.timing.gate_width
     period = det.timing.gate_period
     delays = np.linspace(0.0, min(1.05 * width, 0.999 * period), delay_points)
-    p_f = click_probability_array(det, attack_flux, delays)
-    p_h = click_probability_array(det, attack_flux / 2.0, delays)
-    p_ddf = delayed_click_probability_arrays(det, attack_flux, delays, env)
-    p_ddh = delayed_click_probability_arrays(det, attack_flux / 2.0, delays, env)
-    p_bar = 0.25 * p_ddf + 0.5 * p_ddh
-    q = _qber_array(np.minimum(p_f + p_bar, 1.0), np.minimum(p_h + p_bar, 1.0))
+    q = _sweep_arrays(det, attack_flux, attack_flux / 2.0, delays, env)[-1]
     if np.all(np.isnan(q)):
         raise ValueError("attack sweep produced no signal at any delay; "
                          "check the detector configuration")

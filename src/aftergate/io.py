@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 

@@ -23,8 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectorParams, Environment, PulseSpec, trap_loading, \
-    delayed_release_mean, poisson_tail
+# trap_loading is unused here; bench/tracer.py wraps it under this name.
+from .detector import (DetectorParams, Environment, PulseSpec,  # noqa: F401
+                       afterpulse_background, delayed_release_mean,
+                       poisson_tail, trap_loading)
 from .characterization import GateHistogram, dead_time_counts
 
 _CHUNK = 8192
@@ -40,25 +42,15 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
     source."""
     p_no_click = np.full(window, 1.0 - det.dark_count_prob)
     for gate, pulse in pulses:
+        pulse.validate_against(det.timing)
         lam = float(det.mean_avalanches(pulse.mean_flux, pulse.delay))
         n_th = int(det.threshold_count(pulse.delay))
         p_no_click[gate] *= 1.0 - float(poisson_tail(n_th, lam))
-        tail = window - gate - 1
-        if tail > 0:
-            offsets = np.arange(1, tail + 1, dtype=float)
-            release = delayed_release_mean(det, trap_loading(det, pulse), env,
-                                           offsets)
-            for k, mean in enumerate(release, start=1):
-                p_no_click[gate + k] *= np.exp(-mean)
+        offsets = np.arange(1, window - gate, dtype=float)
+        p_no_click[gate + 1:] *= np.exp(-delayed_release_mean(
+            det, pulse.mean_flux, pulse.delay, env, offsets))
     ap_bg = afterpulse_background(det, 1.0 - p_no_click)
     return 1.0 - p_no_click * (1.0 - ap_bg)
-
-
-def afterpulse_background(det: DetectorParams, base_probabilities) -> float:
-    """Flat per-gate afterpulse background, proportional to the mean detected
-    rate and spread over afterpulse_spread_gates gates."""
-    mean_det = float(np.mean(base_probabilities))
-    return det.afterpulse_prob * mean_det / det.afterpulse_spread_gates
 
 
 def _run_chunk(seed: int, chunk_index: int, n: int, p_click: np.ndarray,
@@ -93,8 +85,6 @@ def simulate_pulse_train(det: DetectorParams,
     gates = [g for g, _ in pulses]
     if any(b <= a for a, b in zip(gates, gates[1:])):
         raise ValueError("pulse gate indices must be strictly increasing")
-    for _, pulse in pulses:
-        pulse.validate_against(det.timing)
     if window is None:
         window = gates[-1] + 12
     if window <= gates[-1]:

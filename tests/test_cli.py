@@ -161,6 +161,15 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "delay grid" in err
         assert not (tmp_path / "gate2.csv").exists()
 
+    def test_attack_delay_outside_period_is_numerical_failure(self, tmp_path,
+                                                              capsys):
+        code = run(tmp_path, "--set", "scenario.attack_delay=1500",
+                   "attack-hist")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "outside" in err
+        assert not (tmp_path / "attack_hist_full.csv").exists()
+
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         import aftergate.cli as cli
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envout"))

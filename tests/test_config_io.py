@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from aftergate import ConfigError, GateHistogram, load_config
+from aftergate import (ConfigError, DetectorParams, Environment,
+                       GateHistogram, GateTiming, TrapKind, TrapSpecies,
+                       load_config)
 from aftergate.config import default_config_path
 from aftergate.io import (read_arrhenius_csv, write_feasibility_csv,
                           write_histogram_csv, write_json, write_sweep_csv)
@@ -50,6 +52,36 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.detector.detection_efficiency == 0.3
         assert cfg.detector.timing.gate_period == 1000.0
+
+    def test_omitted_optional_keys_take_dataclass_defaults(self, tmp_path):
+        required = "\n".join(
+            line for line in MINIMAL.splitlines()
+            if not line.startswith(("capture_", "retention_",
+                                    "excess_bias_fraction")))
+        path = tmp_path / "run.ini"
+        path.write_text(required)
+        cfg = load_config(path)
+        assert cfg.detector == DetectorParams(
+            timing=GateTiming(gating_frequency=1e9, gate_width=166.0),
+            detection_efficiency=0.3, discrimination_threshold=0.5,
+            dark_count_prob=1e-4, afterpulse_prob=0.02,
+            interface_trap=TrapSpecies(TrapKind.INTERFACE, 0.04, 100.0),
+            multiplication_trap=TrapSpecies(TrapKind.MULTIPLICATION, 0.11,
+                                            8.0))
+        assert cfg.environment == Environment(temperature=293.15)
+
+    def test_missing_required_key_message(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(MINIMAL.replace("detection_efficiency = 0.3\n", ""))
+        with pytest.raises(ConfigError,
+                           match="^missing config key: 'detection_efficiency'$"):
+            load_config(path)
+
+    def test_attacked_fraction_is_unknown(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(MINIMAL + "\n[scenario]\nattacked_fraction = 1.0\n")
+        with pytest.raises(ConfigError, match="unknown key 'attacked_fraction'"):
+            load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.ini"

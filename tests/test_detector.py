@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
-                       click_probability, delayed_click_probability,
-                       survival_fraction, trap_lifetime, trap_loading)
-from aftergate.detector import (DetectorParams, GateTiming, TrapState,
-                                release_expectation,
-                                click_probability_array, poisson_tail)
+                       click_probability, survival_fraction, trap_lifetime,
+                       trap_loading)
+from aftergate.detector import (DetectorParams, GateTiming,
+                                click_probability_array,
+                                delayed_click_probability_arrays,
+                                delayed_release_mean, poisson_tail)
 
 
 def species(ea, tau0, **kw):
@@ -190,18 +191,16 @@ class TestPoissonTail:
 
 class TestTrapLoading:
     def test_zero_flux_zero_populations(self):
-        state = trap_loading(make_detector(), PulseSpec(0.0, 100.0))
-        assert state.interface_population == 0.0
-        assert state.multiplication_population == 0.0
+        pop_if, pop_m = trap_loading(make_detector(), 0.0, [20.0, 100.0])
+        assert np.all(pop_if == 0.0)
+        assert np.all(pop_m == 0.0)
 
     def test_linear_in_flux(self):
         d = make_detector()
-        s1 = trap_loading(d, PulseSpec(10.0, 150.0))
-        s2 = trap_loading(d, PulseSpec(20.0, 150.0))
-        assert s2.interface_population == pytest.approx(
-            2 * s1.interface_population, rel=1e-12)
-        assert s2.multiplication_population == pytest.approx(
-            2 * s1.multiplication_population, rel=1e-12)
+        delays = np.array([20.0, 150.0, 400.0])
+        for one, two in zip(trap_loading(d, 10.0, delays),
+                            trap_loading(d, 20.0, delays)):
+            np.testing.assert_allclose(two, 2 * one, rtol=1e-12)
 
     def test_end_of_gate_retention_exceeds_mid_gate_at_equal_charge(self):
         # same expected avalanche charge lam*g, later gate position:
@@ -215,37 +214,107 @@ class TestTrapLoading:
         lam_g_mid = mu_mid * d.detection_efficiency * 1.0 * 1.0
         shape_end = float(d.trigger_shape(t_end))
         mu_end = lam_g_mid / (d.detection_efficiency * shape_end * 0.25)
-        pop_mid = trap_loading(d, PulseSpec(mu_mid, 20.0)).multiplication_population
-        pop_end = trap_loading(d, PulseSpec(mu_end, t_end)).multiplication_population
+        pop_mid = trap_loading(d, mu_mid, 20.0)[1]
+        pop_end = trap_loading(d, mu_end, t_end)[1]
         assert pop_end / pop_mid == pytest.approx(1.75, rel=1e-9)
         assert pop_end > pop_mid
 
 
+class ReferenceTrapState:
+    def __init__(self, interface_population, multiplication_population,
+                 loaded_at):
+        self.interface_population = interface_population
+        self.multiplication_population = multiplication_population
+        self.loaded_at = loaded_at
+
+
+def reference_trap_loading(det, pulse, env=None):
+    """The scalar trap loading the vectorized kernel replaced, kept verbatim
+    (apart from its state class) as the oracle."""
+    pulse.validate_against(det.timing)
+    carriers = pulse.mean_flux * det.detection_efficiency
+    uncrossed = 1.0 - float(det.trigger_probability(pulse.delay))
+    pop_if = carriers * det.interface_trap.capture_fraction_photo * uncrossed
+
+    lam = float(det.mean_avalanches(pulse.mean_flux, pulse.delay))
+    g = float(det.gain(pulse.delay))
+    mult = det.multiplication_trap
+    retention = 1.0 + mult.retention_strength * (1.0 - g)
+    pop_mult = mult.capture_per_avalanche_charge * lam * g * retention
+    return ReferenceTrapState(pop_if, pop_mult, pulse.delay)
+
+
+def reference_delayed_release_mean(det, state, env, gate_offset):
+    offs = np.asarray(gate_offset, dtype=float)
+    period = det.timing.gate_period
+    width = det.timing.gate_width
+    start = offs * period - state.loaded_at
+    total = np.zeros_like(offs, dtype=float)
+    for species, pop in ((det.interface_trap, state.interface_population),
+                         (det.multiplication_trap, state.multiplication_population)):
+        if pop == 0.0:
+            continue
+        tau = trap_lifetime(species, env)
+        total += pop * (np.exp(-start / tau) - np.exp(-(start + width) / tau))
+    return total * det.trigger_peak
+
+
 class TestDelayedClickProbability:
+    @given(flux=st.floats(min_value=0.0, max_value=200.0),
+           delay=st.floats(min_value=0.0, max_value=999.999),
+           offsets=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+           temperature=st.floats(min_value=200.0, max_value=320.0),
+           species=st.sampled_from(["interface", "multiplication", "both"]))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_equals_scalar_reference(self, flux, delay, offsets,
+                                            temperature, species):
+        d = make_detector()
+        if species == "interface":
+            d = replace(d, multiplication_trap=replace(
+                d.multiplication_trap, capture_per_avalanche_charge=0.0))
+        elif species == "multiplication":
+            d = replace(d, interface_trap=replace(
+                d.interface_trap, capture_fraction_photo=0.0))
+        env = Environment(temperature=temperature)
+        state = reference_trap_loading(d, PulseSpec(flux, delay))
+        pop_if, pop_m = trap_loading(d, flux, delay)
+        assert float(pop_if) == state.interface_population
+        assert float(pop_m) == state.multiplication_population
+        expected = reference_delayed_release_mean(d, state, env, offsets)
+        got = delayed_release_mean(d, flux, delay, env, offsets)
+        assert np.array_equal(got, expected)
+        # a delay grid at one offset matches the same scalar reference
+        grid = delayed_release_mean(d, flux, [delay, 0.0], env, offsets[0])
+        assert grid[0] == expected[0]
+
     def test_empty_state_gives_darks_exactly(self):
         d = make_detector(dark=3e-4)
-        state = TrapState(0.0, 0.0, 0.0)
-        assert delayed_click_probability(d, state, ROOM, 1) == \
-            pytest.approx(3e-4, rel=1e-12)
-
-    def test_release_expectation_worked_value(self):
-        # population 0.5, survival window factor 0.4, trigger 0.9
-        mean = release_expectation(0.5, 0.9, 0.5, 0.9)
-        assert mean == pytest.approx(0.18, rel=1e-12)
-        assert 1 - math.exp(-mean) == pytest.approx(0.164729788588728,
-                                                    rel=1e-12)
+        d = replace(d, interface_trap=replace(d.interface_trap,
+                                              capture_fraction_photo=0.0),
+                    multiplication_trap=replace(
+                        d.multiplication_trap,
+                        capture_per_avalanche_charge=0.0))
+        delays = np.array([0.0, 150.0, 500.0])
+        assert np.all(delayed_release_mean(d, 80.0, delays, ROOM) == 0.0)
+        np.testing.assert_allclose(
+            delayed_click_probability_arrays(d, 80.0, delays, ROOM), 3e-4,
+            rtol=1e-12)
 
     def test_rejects_offset_zero(self):
-        d = make_detector()
         with pytest.raises(ValueError):
-            delayed_click_probability(d, TrapState(0.1, 0.0, 0.0), ROOM, 0)
+            delayed_click_probability_arrays(make_detector(), 80.0, [150.0],
+                                             ROOM, gate_offset=0)
+
+    def test_rejects_negative_offset(self):
+        with pytest.raises(ValueError):
+            delayed_click_probability_arrays(make_detector(), 80.0, [150.0],
+                                             ROOM, gate_offset=-1)
 
     def test_offsets_non_increasing(self):
         d = make_detector(dark=1e-4)
-        state = trap_loading(d, PulseSpec(80.0, 150.0))
-        probs = [delayed_click_probability(d, state, ROOM, k)
-                 for k in (1, 2, 3, 4, 5)]
-        assert all(a >= b for a, b in zip(probs, probs[1:]))
+        probs = delayed_click_probability_arrays(d, 80.0, 150.0, ROOM,
+                                                 np.arange(1, 6))
+        assert np.all(np.diff(probs) <= 0.0)
 
 
 class TestProfiles:
