@@ -129,10 +129,9 @@ def _delay_grid(det: DetectorParams, delays) -> np.ndarray:
     """The delays as a float array, checked to be a finite 1-D grid within
     one gate period; the caller's order is kept."""
     d = np.asarray(delays, dtype=float)
-    period = det.timing.gate_period
-    if d.ndim != 1 or not np.all((d >= 0) & (d < period)):
+    if d.ndim != 1 or not det.timing.contains(d):
         raise ValueError(f"delay grid must be a finite 1-D array within "
-                         f"[0, {period:g}) ps")
+                         f"[0, {det.timing.gate_period:g}) ps")
     return d
 
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import io, svg
-from .attack import (QBER_THRESHOLD, AttackScenario, NoSignalError,
-                     attack_histogram, contour_flux_delay, gate2_vs_delay,
-                     key_rate, partial_attack_rates, sub_threshold_region,
-                     sweep_delay)
+from .attack import (AttackScenario, NoSignalError, attack_histogram,
+                     contour_flux_delay, gate2_vs_delay, key_rate,
+                     partial_attack_rates, sub_threshold_region, sweep_delay)
 # build_histogram is unused here; bench/tracer.py wraps it under this name.
 from .characterization import (LifetimeExtractionError, arrhenius_fit,  # noqa: F401
                                build_histogram)
@@ -72,46 +72,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_section(cfg: RunConfig, args) -> dict:
-    run = dict(cfg.values.get("run", {}))
-    if args.seed is not None:
-        run["seed"] = args.seed
-    if args.trials is not None:
-        run["trials"] = args.trials
-    if args.workers is not None:
-        run["workers"] = args.workers
-    run.setdefault("seed", 12345)
-    run.setdefault("trials", 100000)
-    run.setdefault("workers", 1)
-    run.setdefault("output_dir", "out")
-    return run
-
-
-def _outdir(args, run: dict) -> Path:
+def _outdir(args, cfg: RunConfig) -> Path:
     if args.out is not None:
         out = args.out
     elif os.environ.get(OUTDIR_ENV):
         out = Path(os.environ[OUTDIR_ENV])
     else:
-        out = Path(run["output_dir"])
+        out = Path(cfg.values["run"]["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _scenario(cfg: RunConfig) -> AttackScenario:
-    sec = cfg.values.get("scenario", {})
-    return AttackScenario(
-        flux_full=sec.get("flux_full", 80.0),
-        flux_half=sec.get("flux_half"),
-        env=cfg.environment,
-    )
+    sec = cfg.values["scenario"]
+    return AttackScenario(flux_full=sec["flux_full"],
+                          flux_half=sec["flux_half"], env=cfg.environment)
 
 
 def _sweep_grid(cfg: RunConfig) -> np.ndarray:
-    sec = cfg.values.get("sweep", {})
-    return np.linspace(sec.get("delay_min", 0.0),
-                       sec.get("delay_max", 240.0),
-                       sec.get("delay_points", 961))
+    sec = cfg.values["sweep"]
+    return np.linspace(sec["delay_min"], sec["delay_max"],
+                       sec["delay_points"])
 
 
 def _sweep_points(cfg: RunConfig):
@@ -124,18 +105,18 @@ def _dip_delay(points) -> tuple[float, float]:
     return points[i].delay, float(qs[i])
 
 
-def cmd_histogram(cfg: RunConfig, args, out: Path, run: dict) -> None:
-    sec = cfg.values.get("histogram", {})
-    gates = sec.get("gates", 12)
-    sc = cfg.values.get("scenario", {})
-    pulse = PulseSpec(mean_flux=sc.get("signal_flux", 0.1),
-                      delay=sec.get("pulse_delay", 0.0))
+def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
+    sec = cfg.values["histogram"]
+    run = cfg.values["run"]
+    gates = sec["gates"]
+    pulse = PulseSpec(mean_flux=cfg.values["scenario"]["signal_flux"],
+                      delay=sec["pulse_delay"])
     if run["trials"] < 1:
         raise ConfigError("run.trials must be >= 1")
     hist = simulate_pulse_train(
         cfg.detector, [(0, pulse)], cfg.environment, trials=run["trials"],
         seed=run["seed"], window=gates, workers=run["workers"],
-        dead_time=sec.get("dead_time", 50000.0))
+        dead_time=sec["dead_time"])
     io.write_histogram_csv(out / "histogram.csv", hist)
     svg.bar_chart(out / "histogram.svg",
                   [str(i + 1) for i in range(gates)], hist.gate_counts,
@@ -144,7 +125,7 @@ def cmd_histogram(cfg: RunConfig, args, out: Path, run: dict) -> None:
           f"(gate 1 count {int(hist.gate_counts[0])})")
 
 
-def cmd_arrhenius(cfg: RunConfig, args, out: Path, run: dict) -> None:
+def cmd_arrhenius(cfg: RunConfig, args, out: Path) -> None:
     points = io.read_arrhenius_csv(args.input)
     try:
         fit = arrhenius_fit(points)
@@ -167,12 +148,11 @@ def cmd_arrhenius(cfg: RunConfig, args, out: Path, run: dict) -> None:
           f"residual {fit.residual_norm:.3g}")
 
 
-def cmd_sweep(cfg: RunConfig, args, out: Path, run: dict) -> None:
+def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
     points = _sweep_points(cfg)
     io.write_sweep_csv(out / "sweep.csv", points)
     delays = [p.delay for p in points]
-    threshold = cfg.values.get("feasibility", {}).get("qber_threshold",
-                                                      QBER_THRESHOLD)
+    threshold = cfg.values["feasibility"]["qber_threshold"]
     svg.line_chart(out / "sweep.svg", delays,
                    {"target-gate QBER": [p.q_target for p in points],
                     "with delayed detection": [p.q_with_dd for p in points]},
@@ -196,15 +176,12 @@ def cmd_sweep(cfg: RunConfig, args, out: Path, run: dict) -> None:
           f"min corrected QBER {summary['min_q_with_dd']:.4f}")
 
 
-def cmd_attack_hist(cfg: RunConfig, args, out: Path, run: dict) -> None:
-    scenario = _scenario(cfg)
-    delay = cfg.values.get("scenario", {}).get("attack_delay")
+def cmd_attack_hist(cfg: RunConfig, args, out: Path) -> None:
+    delay = cfg.values["scenario"]["attack_delay"]
     if delay is None:
         delay, _ = _dip_delay(_sweep_points(cfg))
-    scenario = AttackScenario(flux_full=scenario.flux_full,
-                              flux_half=scenario.flux_half,
-                              delay=delay, env=scenario.env)
-    gates = cfg.values.get("histogram", {}).get("gates", 12)
+    scenario = replace(_scenario(cfg), delay=delay)
+    gates = cfg.values["histogram"]["gates"]
     hists = {}
     for power in ("full", "half"):
         hist = attack_histogram(cfg.detector, scenario, power, gates)
@@ -222,17 +199,17 @@ def cmd_attack_hist(cfg: RunConfig, args, out: Path, run: dict) -> None:
           f"{hists['half'].gate_counts[1] > hists['half'].gate_counts[0]}")
 
 
-def cmd_gate2(cfg: RunConfig, args, out: Path, run: dict) -> None:
-    sec = cfg.values.get("gate2", {})
+def cmd_gate2(cfg: RunConfig, args, out: Path) -> None:
+    sec = cfg.values["gate2"]
     det = cfg.detector
-    lo = sec.get("delay_min")
-    hi = sec.get("delay_max")
+    lo = sec["delay_min"]
+    hi = sec["delay_max"]
     if lo is None:
         lo = det.trigger_flat_fraction * det.timing.gate_width
     if hi is None:
         hi = 0.96 * det.timing.gate_period
-    delays = np.linspace(lo, hi, sec.get("delay_points", 300))
-    flux = cfg.values.get("scenario", {}).get("flux_full", 80.0)
+    delays = np.linspace(lo, hi, sec["delay_points"])
+    flux = cfg.values["scenario"]["flux_full"]
     points = gate2_vs_delay(det, flux, delays, cfg.environment)
     io.write_gate2_csv(out / "gate2.csv", points)
     svg.line_chart(out / "gate2.svg", [d for d, _ in points],
@@ -245,17 +222,14 @@ def cmd_gate2(cfg: RunConfig, args, out: Path, run: dict) -> None:
           f"{points[i][0]:.1f} ps, interior minimum: {0 < i < len(points) - 1}")
 
 
-def cmd_contour(cfg: RunConfig, args, out: Path, run: dict) -> None:
-    sec = cfg.values.get("contour", {})
-    fluxes = np.linspace(sec.get("flux_min", 2.0), sec.get("flux_max", 100.0),
-                         sec.get("flux_points", 50))
-    delays = np.linspace(sec.get("delay_min", 0.0),
-                         sec.get("delay_max", 200.0),
-                         sec.get("delay_points", 201))
+def cmd_contour(cfg: RunConfig, args, out: Path) -> None:
+    sec = cfg.values["contour"]
+    fluxes = np.linspace(sec["flux_min"], sec["flux_max"], sec["flux_points"])
+    delays = np.linspace(sec["delay_min"], sec["delay_max"],
+                         sec["delay_points"])
     matrix = contour_flux_delay(cfg.detector, cfg.environment, fluxes, delays)
     io.write_contour_csv(out / "contour.csv", fluxes, delays, matrix)
-    threshold = cfg.values.get("feasibility", {}).get("qber_threshold",
-                                                      QBER_THRESHOLD)
+    threshold = cfg.values["feasibility"]["qber_threshold"]
     svg.heatmap(out / "contour.svg", delays, fluxes, matrix,
                 "target-gate QBER vs flux and delay", "delay (ps)",
                 "flux (photons/pulse)", iso=threshold)
@@ -268,19 +242,18 @@ def cmd_contour(cfg: RunConfig, args, out: Path, run: dict) -> None:
         print(f"no cell below QBER {threshold}")
 
 
-def cmd_partial_attack(cfg: RunConfig, args, out: Path, run: dict) -> None:
-    sec = cfg.values.get("partial_attack", {})
-    q_attack = sec.get("q_attack")
-    q_baseline = sec.get("q_baseline")
+def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
+    sec = cfg.values["partial_attack"]
+    q_attack = sec["q_attack"]
+    q_baseline = sec["q_baseline"]
     if q_attack is None:
         points = _sweep_points(cfg)
         q_attack = float(np.nanmin([p.q_with_dd for p in points]))
     if q_baseline is None:
-        q_baseline = noise_qber(
-            cfg.detector, cfg.environment,
-            cfg.values.get("scenario", {}).get("signal_flux", 0.1))
+        q_baseline = noise_qber(cfg.detector, cfg.environment,
+                                cfg.values["scenario"]["signal_flux"])
     q_attack = min(q_attack, 0.5)
-    fractions = np.linspace(0.0, 1.0, sec.get("fraction_points", 101))
+    fractions = np.linspace(0.0, 1.0, sec["fraction_points"])
     rows = partial_attack_rates(q_attack, q_baseline, fractions)
     io.write_partial_attack_csv(out / "partial_attack.csv", rows)
     svg.line_chart(out / "partial_attack.svg", fractions,
@@ -297,22 +270,17 @@ def cmd_partial_attack(cfg: RunConfig, args, out: Path, run: dict) -> None:
           f"combined rate at f=0.5: {rows[len(rows) // 2][1]:.4f}")
 
 
-def cmd_feasibility(cfg: RunConfig, args, out: Path, run: dict) -> None:
-    sec = cfg.values.get("feasibility", {})
-    freqs = np.geomspace(sec.get("freq_min", 1e7), sec.get("freq_max", 5e9),
-                         sec.get("freq_points", 50))
-    temps = sec.get("temperatures", [cfg.environment.temperature])
-    threshold = sec.get("qber_threshold", QBER_THRESHOLD)
-    sc = cfg.values.get("scenario", {})
+def cmd_feasibility(cfg: RunConfig, args, out: Path) -> None:
+    sec = cfg.values["feasibility"]
+    freqs = np.geomspace(sec["freq_min"], sec["freq_max"], sec["freq_points"])
+    threshold = sec["qber_threshold"]
+    sc = cfg.values["scenario"]
     summary = {}
-    for temp in temps:
-        env = type(cfg.environment)(
-            temperature=temp,
-            excess_bias_fraction=cfg.environment.excess_bias_fraction)
+    for temp in sec["temperatures"]:
+        env = replace(cfg.environment, temperature=temp)
         verdicts = feasibility_band(
-            freqs, env, cfg.detector,
-            signal_flux=sc.get("signal_flux", 0.1),
-            attack_flux=sc.get("attack_flux", 20.0), threshold=threshold)
+            freqs, env, cfg.detector, signal_flux=sc["signal_flux"],
+            attack_flux=sc["attack_flux"], threshold=threshold)
         tag = f"{temp:g}K"
         io.write_feasibility_csv(out / f"feasibility_{tag}.csv", verdicts)
         svg.band_chart(out / f"feasibility_{tag}.svg", freqs,
@@ -348,10 +316,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config, overrides=args.overrides)
-        run = _run_section(cfg, args)
-        out = _outdir(args, run)
-        _COMMANDS[args.command](cfg, args, out, run)
+        overrides = args.overrides + [
+            f"run.{key}={getattr(args, key)}"
+            for key in ("seed", "trials", "workers")
+            if getattr(args, key) is not None]
+        cfg = load_config(args.config, overrides=overrides)
+        out = _outdir(args, cfg)
+        _COMMANDS[args.command](cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -64,7 +64,7 @@ _SCHEMA = {
     },
     "scenario": {
         "flux_full": float,
-        "flux_half": float,
+        "flux_half": _auto_or_float,
         "signal_flux": float,
         "attack_flux": float,
         "attack_delay": _auto_or_float,
@@ -182,11 +182,17 @@ def load_config(path: str | Path | None = None,
                 overrides=None) -> RunConfig:
     """Load and validate a run configuration.
 
-    `overrides` is a sequence of "section.key=value" strings applied on top
-    of the file, matching the CLI --set flag.
+    The packaged calibration supplies every command and run key the file
+    leaves out; the model sections ([detector], [traps.*], [environment])
+    come from the file alone. `overrides` is a sequence of
+    "section.key=value" strings applied last, matching the CLI --set flag.
     """
-    cfg_path = Path(path) if path is not None else default_config_path()
-    values = _parse(cfg_path)
+    values = _parse(default_config_path())
+    if path is not None:
+        for section in _REQUIRED_SECTIONS:
+            del values[section]
+        for section, keys in _parse(Path(path)).items():
+            values.setdefault(section, {}).update(keys)
     _apply_overrides(values, overrides)
     missing = [s for s in _REQUIRED_SECTIONS if s not in values]
     if missing:

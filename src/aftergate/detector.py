@@ -106,6 +106,12 @@ class GateTiming:
     def gate_period(self) -> float:
         return 1.0e12 / self.gating_frequency
 
+    def contains(self, delays) -> bool:
+        """Whether every delay lies within one period, [0, gate_period) ps;
+        NaN does not."""
+        d = np.asarray(delays, dtype=float)
+        return bool(np.all((d >= 0.0) & (d < self.gate_period)))
+
 
 def _raised_cosine(u):
     """Smooth 1 -> 0 ramp over u in [0, 1]."""
@@ -219,7 +225,7 @@ class PulseSpec:
             raise ValueError("mean_flux must be finite and >= 0")
 
     def validate_against(self, timing: GateTiming) -> None:
-        if not (0.0 <= self.delay < timing.gate_period):
+        if not timing.contains(self.delay):
             raise ValueError(
                 f"delay {self.delay} outside [0, {timing.gate_period}) ps")
 
@@ -227,6 +233,14 @@ class PulseSpec:
 # ---------------------------------------------------------------------------
 # analytic operations
 # ---------------------------------------------------------------------------
+
+
+def _delays(det: DetectorParams, delays) -> np.ndarray:
+    d = np.asarray(delays, dtype=float)
+    if not det.timing.contains(d):
+        raise ValueError(f"delays must lie within "
+                         f"[0, {det.timing.gate_period:g}) ps")
+    return d
 
 
 def trap_lifetime(species: TrapSpecies, env: Environment) -> float:
@@ -290,9 +304,10 @@ def click_probability_array(det: DetectorParams, mean_flux, delays) -> np.ndarra
     """Target-gate click probability over an array of delays.
 
     mean_flux may be an array that broadcasts against delays, e.g. a column
-    of fluxes for a (flux, delay) grid.
+    of fluxes for a (flux, delay) grid. Every delay must lie within one
+    gate period.
     """
-    d = np.asarray(delays, dtype=float)
+    d = _delays(det, delays)
     lam = det.mean_avalanches(mean_flux, d)
     if not np.all(np.isfinite(lam)):
         raise ValueError("non-finite avalanche rate")
@@ -321,8 +336,9 @@ def trap_loading(det: DetectorParams, mean_flux, delays):
     normalized avalanche charge times the per-charge capture coefficient and
     an end-of-gate retention factor (more charge stays trapped when the gate
     closes before the avalanche fully develops). Both scale linearly in flux.
+    Every delay must lie within one gate period.
     """
-    d = np.asarray(delays, dtype=float)
+    d = _delays(det, delays)
     carriers = mean_flux * det.detection_efficiency
     pop_if = (carriers * det.interface_trap.capture_fraction_photo
               * (1.0 - det.trigger_probability(d)))

@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import aftergate
 from aftergate.cli import main
-from aftergate.config import default_config_path
+from aftergate.config import _REQUIRED_SECTIONS, _SCHEMA, default_config_path
+from aftergate.detector import click_probability_array
 
 KB = 8.617e-5
 
@@ -90,17 +92,65 @@ class TestSweepCommand:
                           "q_target,q_with_dd")
         assert (tmp_path / "sweep.svg").exists()
 
-    def test_config_without_sweep_section_uses_default_grid(self, tmp_path):
-        parser = configparser.ConfigParser(interpolation=None)
-        parser.read(default_config_path())
-        parser.remove_section("sweep")
-        cfg = tmp_path / "no_sweep.ini"
-        with cfg.open("w") as fh:
-            parser.write(fh)
+
+def _user_config(tmp_path, drop, **scenario):
+    """The packaged file without the sections in `drop`, plus a [scenario]
+    holding only `scenario` when that is given."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(default_config_path())
+    for section in drop:
+        parser.remove_section(section)
+    if scenario:
+        parser.read_dict({"scenario": scenario})
+    path = tmp_path / "user.ini"
+    with path.open("w") as fh:
+        parser.write(fh)
+    return path
+
+
+class TestPackagedDefaults:
+    # section -> (command, output file, its line count at the packaged values)
+    SHIPPED = {
+        "sweep": ("sweep", "sweep.csv", 1 + 961),
+        "contour": ("contour", "contour.csv", 1 + 50 * 201),
+        "gate2": ("gate2", "gate2.csv", 1 + 300),
+        "partial_attack": ("partial-attack", "partial_attack.csv", 1 + 101),
+        "feasibility": ("feasibility", "feasibility_223.15K.csv", 1 + 50),
+        "histogram": ("histogram", "histogram.csv", 1 + 12),
+        "run": ("histogram", "histogram.csv", 1 + 12),
+    }
+
+    @pytest.mark.parametrize("section", list(SHIPPED))
+    def test_config_without_section_uses_default_ini(self, tmp_path,
+                                                     section):
+        command, name, lines = self.SHIPPED[section]
+        cfg = _user_config(tmp_path, [section])
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "user"),
+                     command]) == 0
+        assert main(["--out", str(tmp_path / "packaged"), command]) == 0
+        written = (tmp_path / "user" / name).read_bytes()
+        assert written == (tmp_path / "packaged" / name).read_bytes()
+        assert len(written.splitlines()) == lines
+
+    def test_flux_half_follows_user_flux_full(self, tmp_path, det):
+        drop = [s for s in _SCHEMA if s not in _REQUIRED_SECTIONS]
+        cfg = _user_config(tmp_path, drop, flux_full="60")
         assert main(["--config", str(cfg), "--out", str(tmp_path),
                      "sweep"]) == 0
-        rows = (tmp_path / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 1 + 961
+        rows = [r.split(",") for r in
+                (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        delays = np.array([float(r[0]) for r in rows])
+        p_h = np.array([float(r[2]) for r in rows])
+        np.testing.assert_allclose(
+            p_h, click_probability_array(det, 30.0, delays), rtol=1e-11)
+
+    def test_seed_flag_beats_set_run_seed(self, tmp_path):
+        args = ["--trials", "20000", "histogram"]
+        assert main(["--out", str(tmp_path / "a"), "--seed", "5",
+                     "--set", "run.seed=9", *args]) == 0
+        assert main(["--out", str(tmp_path / "b"), "--seed", "5", *args]) == 0
+        assert (tmp_path / "a" / "histogram.csv").read_bytes() == \
+            (tmp_path / "b" / "histogram.csv").read_bytes()
 
 
 class TestOtherCommands:

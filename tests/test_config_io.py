@@ -1,5 +1,6 @@
 """Configuration parsing and CSV/JSON serialization."""
 
+import configparser
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from aftergate import (ConfigError, DetectorParams, Environment,
                        GateHistogram, GateTiming, TrapKind, TrapSpecies,
                        load_config)
-from aftergate.config import default_config_path
+from aftergate.config import _SCHEMA, default_config_path
 from aftergate.io import (read_arrhenius_csv, write_feasibility_csv,
                           write_histogram_csv, write_json, write_sweep_csv)
 
@@ -45,6 +46,16 @@ class TestConfig:
         assert cfg.detector.detection_efficiency == 0.28
         assert cfg.environment.temperature == 293.15
         assert default_config_path().exists()
+
+    def test_schema_and_default_ini_list_the_same_keys(self):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read(default_config_path())
+        assert {s: set(parser[s]) for s in parser.sections()} == \
+            {s: set(keys) for s, keys in _SCHEMA.items()}
+
+    def test_flux_half_auto_accepted(self):
+        cfg = load_config(overrides=["scenario.flux_half=auto"])
+        assert cfg.values["scenario"]["flux_half"] is None
 
     def test_minimal_config(self, tmp_path):
         path = tmp_path / "run.ini"

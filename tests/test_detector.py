@@ -317,6 +317,20 @@ class TestDelayedClickProbability:
         assert np.all(np.diff(probs) <= 0.0)
 
 
+@pytest.mark.parametrize("delays", [[-50.0, 1500.0], [float("nan")],
+                                    [1000.0]], ids=["outside", "nan", "period"])
+@pytest.mark.parametrize("kernel", [
+    lambda det, env, d: click_probability_array(det, 80.0, d),
+    lambda det, env, d: trap_loading(det, 80.0, d),
+    lambda det, env, d: delayed_release_mean(det, 80.0, d, env),
+    lambda det, env, d: delayed_click_probability_arrays(det, 80.0, d, env),
+], ids=["click_probability_array", "trap_loading", "delayed_release_mean",
+        "delayed_click_probability_arrays"])
+def test_kernels_reject_delay_outside_period(det, env, kernel, delays):
+    with pytest.raises(ValueError, match=r"within \[0, 1000\) ps"):
+        kernel(det, env, delays)
+
+
 class TestProfiles:
     def test_trigger_zero_outside_gate(self, det):
         assert float(det.trigger_shape(-1.0)) == 0.0
