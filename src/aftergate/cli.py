@@ -89,14 +89,11 @@ def _scenario(cfg: RunConfig) -> AttackScenario:
                           flux_half=sec["flux_half"], env=cfg.environment)
 
 
-def _sweep_grid(cfg: RunConfig) -> np.ndarray:
-    sec = cfg.values["sweep"]
-    return np.linspace(sec["delay_min"], sec["delay_max"],
-                       sec["delay_points"])
-
-
 def _sweep_points(cfg: RunConfig):
-    return sweep_delay(cfg.detector, _scenario(cfg), _sweep_grid(cfg))
+    sec = cfg.values["sweep"]
+    delays = np.linspace(sec["delay_min"], sec["delay_max"],
+                         sec["delay_points"])
+    return sweep_delay(cfg.detector, _scenario(cfg), delays)
 
 
 def _dip_delay(points) -> tuple[float, float]:
@@ -158,16 +155,15 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
                     "with delayed detection": [p.q_with_dd for p in points]},
                    "QBER vs pulse delay", "delay (ps)", "QBER",
                    hline=threshold)
-    q = np.array([p.q_target for p in points])
-    qdd = np.array([p.q_with_dd for p in points])
-    i = int(np.nanargmin(q))
+    delay, q_min = _dip_delay(points)
+    q_dd_min = float(np.nanmin([p.q_with_dd for p in points]))
     summary = {
-        "min_q_target": float(q[i]),
-        "min_q_target_delay_ps": points[i].delay,
-        "min_q_with_dd": float(np.nanmin(qdd)),
-        "q_target_below_0.21": bool(np.nanmin(q) < 0.21),
-        "attack_undetected_without_dd": bool(np.nanmin(q) < threshold),
-        "attack_detected_with_dd": bool(np.nanmin(qdd) > threshold),
+        "min_q_target": q_min,
+        "min_q_target_delay_ps": delay,
+        "min_q_with_dd": q_dd_min,
+        "q_target_below_0.21": q_min < 0.21,
+        "attack_undetected_without_dd": q_min < threshold,
+        "attack_detected_with_dd": q_dd_min > threshold,
         "threshold": threshold,
     }
     io.write_json(out / "sweep_summary.json", summary)

@@ -197,6 +197,10 @@ def load_config(path: str | Path | None = None,
     missing = [s for s in _REQUIRED_SECTIONS if s not in values]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
+    temps = values["feasibility"]["temperatures"]
+    if not temps or len({f"{t:g}" for t in temps}) < len(temps):
+        raise ConfigError("feasibility.temperatures needs values that differ "
+                          "at 6 significant digits: they name output files")
     det_sec = dict(values["detector"])
     try:
         timing = GateTiming(gating_frequency=det_sec.pop("gating_frequency"),

@@ -8,68 +8,82 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 
 from .characterization import GateHistogram, LifetimePoint
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".12g")
-    return str(x)
+def _cells(column) -> list[str]:
+    """A column's cells as text, each distinct value formatted once: float64
+    as format(x, ".12g") or "nan", anything else by str(). float64 values
+    are keyed by bit pattern; keyed by value, -0.0 would print as 0."""
+    a = np.asarray(column)
+    if a.dtype == np.float64:
+        keys = a.view(np.int64).tolist()
+        distinct = np.array(list(dict.fromkeys(keys)), dtype=np.int64)
+        text = {k: "nan" if math.isnan(x) else format(x, ".12g") for k, x in
+                zip(distinct.tolist(), distinct.view(np.float64).tolist())}
+    else:
+        keys = a.tolist()
+        text = {x: str(x) for x in dict.fromkeys(keys)}
+        if any(c in t for t in text.values() for c in ',"\r\n'):
+            raise ValueError("CSV cells must not need quoting")
+    return list(map(text.__getitem__, keys))
 
 
-def _write_rows(path, header, rows) -> None:
+def _write_columns(path, header, columns) -> None:
+    """CSV of a header and equal-length 1-D columns, formatted by _cells."""
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write("\n".join([",".join(header), *rows]) + "\n")
+
+
+def _float_columns(rows, width: int) -> np.ndarray:
+    return np.asarray(rows, dtype=np.float64).reshape(-1, width).T
 
 
 def write_histogram_csv(path, hist: GateHistogram) -> None:
     """Columns: gate_index,counts,trials,probability (gate_index is 1-based)."""
-    trials = hist.trials if hist.trials is not None else 0
-    probs = hist.probabilities
-    rows = []
-    for i, count in enumerate(hist.gate_counts):
-        c = int(count) if hist.trials is not None else float(count)
-        rows.append([i + 1, c, trials, float(probs[i])])
-    _write_rows(path, ["gate_index", "counts", "trials", "probability"], rows)
+    n, counts = len(hist), hist.gate_counts
+    _write_columns(path, ["gate_index", "counts", "trials", "probability"],
+                   [np.arange(1, n + 1),
+                    counts if hist.trials is None else counts.astype(np.int64),
+                    np.full(n, hist.trials or 0), hist.probabilities])
 
 
 def write_sweep_csv(path, points) -> None:
-    rows = [[p.delay, p.p_f, p.p_h, p.p_dd_f, p.p_dd_h, p.p_dd_bar,
-             p.q_target, p.q_with_dd] for p in points]
-    _write_rows(path, ["delay_ps", "p_f", "p_h", "p_dd_f", "p_dd_h",
-                       "p_dd_bar", "q_target", "q_with_dd"], rows)
+    _write_columns(path, ["delay_ps", "p_f", "p_h", "p_dd_f", "p_dd_h",
+                          "p_dd_bar", "q_target", "q_with_dd"],
+                   _float_columns([astuple(p) for p in points], 8))
 
 
 def write_contour_csv(path, fluxes, delays, qber_matrix) -> None:
-    rows = []
-    for i, mu in enumerate(fluxes):
-        for j, d in enumerate(delays):
-            rows.append([float(mu), float(d), float(qber_matrix[i, j])])
-    _write_rows(path, ["flux", "delay_ps", "q_target"], rows)
+    fluxes = np.asarray(fluxes, dtype=np.float64)
+    delays = np.asarray(delays, dtype=np.float64)
+    _write_columns(path, ["flux", "delay_ps", "q_target"],
+                   [np.repeat(fluxes, delays.size),
+                    np.tile(delays, fluxes.size),
+                    np.asarray(qber_matrix, dtype=np.float64).ravel()])
 
 
 def write_gate2_csv(path, points) -> None:
-    _write_rows(path, ["delay_ps", "probability"],
-                [[d, p] for d, p in points])
+    _write_columns(path, ["delay_ps", "probability"],
+                   _float_columns(points, 2))
 
 
 def write_partial_attack_csv(path, rows) -> None:
-    _write_rows(path, ["fraction", "combined_rate", "full_attack_rate"], rows)
+    _write_columns(path, ["fraction", "combined_rate", "full_attack_rate"],
+                   _float_columns(rows, 3))
 
 
 def write_feasibility_csv(path, verdicts) -> None:
-    rows = [[v.frequency, v.q_noise, v.q_attack, v.classification]
-            for v in verdicts]
-    _write_rows(path, ["frequency_hz", "q_noise", "q_attack",
-                       "classification"], rows)
+    _write_columns(path, ["frequency_hz", "q_noise", "q_attack",
+                          "classification"],
+                   [*_float_columns([(v.frequency, v.q_noise, v.q_attack)
+                                     for v in verdicts], 3),
+                    np.array([v.classification for v in verdicts], dtype=str)])
 
 
 def read_arrhenius_csv(path) -> list[LifetimePoint]:

@@ -42,20 +42,21 @@ def _axes(parts, xlab, ylab):
                  f'transform="rotate(-90 14 {(y0 + y1) / 2:.0f})">{ylab}</text>')
 
 
-class _Scale:
-    def __init__(self, lo, hi, pixel_lo, pixel_hi, log=False):
-        if log:
-            lo, hi = math.log10(lo), math.log10(hi)
-        if hi == lo:
-            hi = lo + 1.0
-        self.lo, self.hi = lo, hi
-        self.plo, self.phi = pixel_lo, pixel_hi
-        self.log = log
+def _scale(lo, hi, pixel_lo, pixel_hi, log=False):
+    """Linear (or log10) map of data values in [lo, hi] onto pixels."""
+    if log:
+        lo, hi = math.log10(lo), math.log10(hi)
+    if hi == lo:
+        hi = lo + 1.0
+    return lambda v: pixel_lo + ((math.log10(v) if log else v) - lo) \
+        / (hi - lo) * (pixel_hi - pixel_lo)
 
-    def __call__(self, v):
-        v = math.log10(v) if self.log else v
-        frac = (v - self.lo) / (self.hi - self.lo)
-        return self.plo + frac * (self.phi - self.plo)
+
+def _polyline(points, color) -> str:
+    """Polyline through pixel (x, y) pairs."""
+    pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
+    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="1.5"/>')
 
 
 def _tick_labels(parts, sx, sy, xticks, yticks, fmt="{:g}"):
@@ -82,8 +83,8 @@ def bar_chart(path, labels, values, title, xlab, ylab, log_y=True) -> None:
     floor = float(positive.min()) * 0.5 if positive.size else 1e-6
     top = float(values.max()) * 1.5 if values.max() > 0 else 1.0
     parts = _open(title)
-    sy = _Scale(floor, top, _H - _MB, _MT, log=log_y)
-    sx = _Scale(-0.5, len(values) - 0.5, _ML, _W - _MR)
+    sy = _scale(floor, top, _H - _MB, _MT, log=log_y)
+    sx = _scale(-0.5, len(values) - 0.5, _ML, _W - _MR)
     width = (sx(1) - sx(0)) * 0.7
     for i, v in enumerate(values):
         if v <= 0:
@@ -95,9 +96,7 @@ def bar_chart(path, labels, values, title, xlab, ylab, log_y=True) -> None:
         parts.append(f'<text x="{sx(i):.1f}" y="{_H - _MB + 14}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="10">{labels[i]}</text>')
-    _axes(parts, xlab, ylab)
-    parts.append("</svg>")
-    _write(path, parts)
+    _write(path, parts, xlab, ylab)
 
 
 def line_chart(path, x, series: dict, title, xlab, ylab, hline=None,
@@ -110,8 +109,8 @@ def line_chart(path, x, series: dict, title, xlab, ylab, hline=None,
     if hline is not None:
         lo, hi = min(lo, hline), max(hi, hline)
     pad = 0.06 * (hi - lo or 1.0)
-    sx = _Scale(float(x.min()), float(x.max()), _ML, _W - _MR, log=log_x)
-    sy = _Scale(lo - pad, hi + pad, _H - _MB, _MT)
+    sx = _scale(float(x.min()), float(x.max()), _ML, _W - _MR, log=log_x)
+    sy = _scale(lo - pad, hi + pad, _H - _MB, _MT)
     parts = _open(title)
     if hline is not None:
         py = sy(hline)
@@ -119,11 +118,9 @@ def line_chart(path, x, series: dict, title, xlab, ylab, hline=None,
                      f'y2="{py:.1f}" stroke="#888" stroke-dasharray="6,4"/>')
     for k, (name, ys) in enumerate(series.items()):
         ys = np.asarray(ys, dtype=float)
-        pts = [f"{sx(xv):.1f},{sy(yv):.1f}"
-               for xv, yv in zip(x, ys) if np.isfinite(yv)]
         color = _COLORS[k % len(_COLORS)]
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
+        parts.append(_polyline([(sx(xv), sy(yv)) for xv, yv in zip(x, ys)
+                                if np.isfinite(yv)], color))
         parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 14 + 14 * k}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11" fill="{color}">{name}</text>')
@@ -132,73 +129,62 @@ def line_chart(path, x, series: dict, title, xlab, ylab, hline=None,
                           math.floor(math.log10(x.max())) + 1)
     yticks = np.linspace(lo, hi, 5)
     _tick_labels(parts, sx, sy, xticks, yticks, fmt="{:.3g}")
-    _axes(parts, xlab, ylab)
-    parts.append("</svg>")
-    _write(path, parts)
+    _write(path, parts, xlab, ylab)
 
 
 def heatmap(path, xs, ys, matrix, title, xlab, ylab, iso=None) -> None:
     """Raster-style heatmap; matrix[i, j] maps row i -> ys[i], col j -> xs[j].
-    iso, if given, is a threshold: cells strictly below it get an outline."""
+    Each horizontal run of cells with one fill is drawn as one rect. iso, if
+    given, is a threshold: cells strictly below it get an outline."""
     matrix = np.asarray(matrix, dtype=float)
-    finite = matrix[np.isfinite(matrix)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
-    sx = _Scale(0, matrix.shape[1], _ML, _W - _MR)
-    sy = _Scale(0, matrix.shape[0], _H - _MB, _MT)
+    rows, cols = matrix.shape
+    finite = np.isfinite(matrix)
+    lo = float(matrix[finite].min()) if finite.any() else 0.0
+    hi = float(matrix[finite].max()) if finite.any() else 1.0
+    sx = _scale(0, cols, _ML, _W - _MR)
+    sy = _scale(0, rows, _H - _MB, _MT)
+    px = [f"{sx(j):.1f}" for j in range(cols + 1)]
+    py = [f"{sy(i):.1f}" for i in range(rows + 1)]
+    cw, ch = sx(1) - sx(0), sy(0) - sy(1)
+    frac = (np.where(finite, matrix, lo) - lo) / (hi - lo) if hi > lo \
+        else np.zeros(matrix.shape)
+    # dark purple -> pale yellow, packed as r << 16 | g << 8 | b; -1 for NaN
+    r, g, b = ((base + frac * (top - base)).astype(np.int64)
+               for base, top in ((60, 250), (20, 240), (90, 120)))
+    fills, key = np.unique(np.where(finite, r << 16 | g << 8 | b, -1).ravel(),
+                           return_inverse=True)
+    fills = ["#dddddd" if k < 0 else f"rgb({k >> 16},{k >> 8 & 255},{k & 255})"
+             for k in fills.tolist()]
+    # a run starts at each row's first cell and wherever the fill changes
+    starts = np.flatnonzero(np.diff(key.reshape(rows, cols), axis=1,
+                                    prepend=-1))
     parts = _open(title)
-    cw = sx(1) - sx(0)
-    ch = sy(0) - sy(1)
-    for i in range(matrix.shape[0]):
-        for j in range(matrix.shape[1]):
-            v = matrix[i, j]
-            if not np.isfinite(v):
-                fill = "#dddddd"
-            else:
-                frac = (v - lo) / (hi - lo) if hi > lo else 0.0
-                # dark purple -> pale yellow
-                r = int(60 + frac * (250 - 60))
-                g = int(20 + frac * (240 - 20))
-                b = int(90 + frac * (120 - 90))
-                fill = f"rgb({r},{g},{b})"
-            parts.append(f'<rect x="{sx(j):.1f}" y="{sy(i + 1):.1f}" '
-                         f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
-                         f'fill="{fill}"/>')
+    for start, n in zip(starts.tolist(),
+                        np.diff(starts, append=key.size).tolist()):
+        i, j = divmod(start, cols)
+        parts.append(f'<rect x="{px[j]}" y="{py[i + 1]}" '
+                     f'width="{n * cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
+                     f'fill="{fills[key[start]]}"/>')
     if iso is not None:
-        with np.errstate(invalid="ignore"):
-            mask = matrix < iso
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                if not mask[i, j]:
-                    continue
-                if i + 1 >= matrix.shape[0] or not mask[i + 1, j]:
-                    parts.append(f'<line x1="{sx(j):.1f}" y1="{sy(i + 1):.1f}" '
-                                 f'x2="{sx(j + 1):.1f}" y2="{sy(i + 1):.1f}" '
-                                 f'stroke="white" stroke-dasharray="3,2"/>')
-                if i == 0 or not mask[i - 1, j]:
-                    parts.append(f'<line x1="{sx(j):.1f}" y1="{sy(i):.1f}" '
-                                 f'x2="{sx(j + 1):.1f}" y2="{sy(i):.1f}" '
-                                 f'stroke="white" stroke-dasharray="3,2"/>')
-                if j == 0 or not mask[i, j - 1]:
-                    parts.append(f'<line x1="{sx(j):.1f}" y1="{sy(i):.1f}" '
-                                 f'x2="{sx(j):.1f}" y2="{sy(i + 1):.1f}" '
-                                 f'stroke="white" stroke-dasharray="3,2"/>')
-                if j + 1 >= matrix.shape[1] or not mask[i, j + 1]:
-                    parts.append(f'<line x1="{sx(j + 1):.1f}" y1="{sy(i):.1f}" '
-                                 f'x2="{sx(j + 1):.1f}" y2="{sy(i + 1):.1f}" '
-                                 f'stroke="white" stroke-dasharray="3,2"/>')
-    _axes(parts, xlab, ylab)
-    parts.append("</svg>")
-    _write(path, parts)
+        # dash each cell edge where `matrix < iso` flips: row, then column
+        edge = np.pad(matrix < iso, 1)
+        dash = 'stroke="white" stroke-dasharray="3,2"/>'
+        for i, j in zip(*np.nonzero(edge[:-1, 1:-1] != edge[1:, 1:-1])):
+            parts.append(f'<line x1="{px[j]}" y1="{py[i]}" '
+                         f'x2="{px[j + 1]}" y2="{py[i]}" {dash}')
+        for i, j in zip(*np.nonzero(edge[1:-1, :-1] != edge[1:-1, 1:])):
+            parts.append(f'<line x1="{px[j]}" y1="{py[i]}" '
+                         f'x2="{px[j]}" y2="{py[i + 1]}" {dash}')
+    _write(path, parts, xlab, ylab)
 
 
 def band_chart(path, freqs, q_noise, q_attack, classes, title,
                threshold) -> None:
     """Feasibility curves with shaded Noisy/Vulnerable columns."""
     freqs = np.asarray(freqs, dtype=float)
-    sx = _Scale(float(freqs.min()), float(freqs.max()), _ML, _W - _MR, log=True)
+    sx = _scale(float(freqs.min()), float(freqs.max()), _ML, _W - _MR, log=True)
     hi = max(float(np.max(q_noise)), float(np.max(q_attack)), threshold) * 1.1
-    sy = _Scale(0.0, hi, _H - _MB, _MT)
+    sy = _scale(0.0, hi, _H - _MB, _MT)
     parts = _open(title)
     shade = {"Vulnerable": "#f6d0d0", "Noisy": "#d0d8f6"}
     edges = np.sqrt(freqs[:-1] * freqs[1:])
@@ -214,15 +200,14 @@ def band_chart(path, freqs, q_noise, q_attack, classes, title,
                  f'y2="{py:.1f}" stroke="#888" stroke-dasharray="6,4"/>')
     for name, ys, color in (("self-noise QBER", q_noise, _COLORS[0]),
                             ("attack QBER", q_attack, _COLORS[1])):
-        pts = [f"{sx(f):.1f},{sy(min(y, hi)):.1f}" for f, y in zip(freqs, ys)]
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-    _axes(parts, "gating frequency (Hz)", "QBER")
+        parts.append(_polyline([(sx(f), sy(min(y, hi)))
+                                for f, y in zip(freqs, ys)], color))
+    _write(path, parts, "gating frequency (Hz)", "QBER")
+
+
+def _write(path, parts, xlab, ylab) -> None:
+    """Draw the axes, close the document and write it."""
+    _axes(parts, xlab, ylab)
     parts.append("</svg>")
-    _write(path, parts)
-
-
-def _write(path, parts) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+        fh.write("\n".join(parts) + "\n")

@@ -220,6 +220,29 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "outside" in err
         assert not (tmp_path / "attack_hist_full.csv").exists()
 
+    def test_empty_feasibility_temperatures_is_config_error(self, tmp_path,
+                                                            capsys):
+        code = run(tmp_path, "--set", "feasibility.temperatures=",
+                   "feasibility")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "feasibility.temperatures" in err
+        assert not (tmp_path / "feasibility_summary.json").exists()
+
+    def test_colliding_feasibility_temperatures_is_config_error(self,
+                                                                tmp_path,
+                                                                capsys):
+        # both would be written as feasibility_293.15K.*
+        code = run(tmp_path, "--set",
+                   "feasibility.temperatures=293.15, 293.1501",
+                   "feasibility")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "feasibility.temperatures" in err
+        assert not list(tmp_path.glob("feasibility_*"))
+
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         import aftergate.cli as cli
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envout"))

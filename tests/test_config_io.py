@@ -1,14 +1,22 @@
 """Configuration parsing and CSV/JSON serialization."""
 
 import configparser
+import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aftergate import (ConfigError, DetectorParams, Environment,
-                       GateHistogram, GateTiming, TrapKind, TrapSpecies,
-                       load_config)
+from aftergate import (AttackScenario, ConfigError, DetectorParams,
+                       Environment, GateHistogram, GateTiming, PulseSpec,
+                       TrapKind, TrapSpecies, attack_histogram,
+                       contour_flux_delay, feasibility_band, gate2_vs_delay,
+                       load_config, partial_attack_rates,
+                       simulate_pulse_train, sweep_delay)
+from aftergate import io
 from aftergate.config import _SCHEMA, default_config_path
 from aftergate.io import (read_arrhenius_csv, write_feasibility_csv,
                           write_histogram_csv, write_json, write_sweep_csv)
@@ -200,3 +208,170 @@ class TestCsvFormats:
         write_json(path, {"a": float("nan"), "b": np.float64(1.5)})
         data = json.loads(path.read_text())
         assert data == {"a": None, "b": 1.5}
+
+
+# The row writer the column writer replaced, kept verbatim as an oracle:
+# every CSV the package writes must stay byte-identical to its output.
+
+def _fmt(x) -> str:
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        return format(x, ".12g")
+    return str(x)
+
+
+def _write_rows(path, header, rows) -> None:
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def oracle_histogram_csv(path, hist: GateHistogram) -> None:
+    trials = hist.trials if hist.trials is not None else 0
+    probs = hist.probabilities
+    rows = []
+    for i, count in enumerate(hist.gate_counts):
+        c = int(count) if hist.trials is not None else float(count)
+        rows.append([i + 1, c, trials, float(probs[i])])
+    _write_rows(path, ["gate_index", "counts", "trials", "probability"], rows)
+
+
+def oracle_sweep_csv(path, points) -> None:
+    rows = [[p.delay, p.p_f, p.p_h, p.p_dd_f, p.p_dd_h, p.p_dd_bar,
+             p.q_target, p.q_with_dd] for p in points]
+    _write_rows(path, ["delay_ps", "p_f", "p_h", "p_dd_f", "p_dd_h",
+                       "p_dd_bar", "q_target", "q_with_dd"], rows)
+
+
+def oracle_contour_csv(path, fluxes, delays, qber_matrix) -> None:
+    rows = []
+    for i, mu in enumerate(fluxes):
+        for j, d in enumerate(delays):
+            rows.append([float(mu), float(d), float(qber_matrix[i, j])])
+    _write_rows(path, ["flux", "delay_ps", "q_target"], rows)
+
+
+def oracle_gate2_csv(path, points) -> None:
+    _write_rows(path, ["delay_ps", "probability"],
+                [[d, p] for d, p in points])
+
+
+def oracle_partial_attack_csv(path, rows) -> None:
+    _write_rows(path, ["fraction", "combined_rate", "full_attack_rate"], rows)
+
+
+def oracle_feasibility_csv(path, verdicts) -> None:
+    rows = [[v.frequency, v.q_noise, v.q_attack, v.classification]
+            for v in verdicts]
+    _write_rows(path, ["frequency_hz", "q_noise", "q_attack",
+                       "classification"], rows)
+
+
+# -0.0 next to 0.0, NaN, infinities, subnormals, and pairs that differ but
+# print the same at 12 significant digits
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+            -5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 0.3, 1 / 3,
+            1.0000000000004, 1.0000000000005, 123456789012.5,
+            123456789012.49998, 1e300, -1e-300]
+_CLASSES = ["Noisy", "Suitable", "Vulnerable"]
+
+
+@st.composite
+def _table(draw):
+    """(columns for the column writer, rows for the oracle)."""
+    n = draw(st.integers(0, 25))
+    columns, cells = [], []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "str"]),
+                              min_size=1, max_size=5)):
+        if kind == "float":
+            values = draw(st.lists(st.one_of(st.sampled_from(_SPECIAL),
+                                             st.floats()),
+                                   min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=np.float64))
+        elif kind == "int":
+            values = draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                   min_size=n, max_size=n))
+            columns.append(np.array(values, dtype=np.int64))
+            if draw(st.booleans()):
+                values = list(columns[-1])  # numpy ints for the oracle
+        else:
+            values = draw(st.lists(st.sampled_from(_CLASSES),
+                                   min_size=n, max_size=n))
+            columns.append(np.array(values))
+        cells.append(values)
+    return columns, [list(row) for row in zip(*cells)]
+
+
+class TestColumnWriter:
+    @given(_table())
+    @example(([np.array([0.0, -0.0, 0.0])], [[0.0], [-0.0], [0.0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_writer(self, tmp_path_factory, table):
+        columns, rows = table
+        tmp = tmp_path_factory.mktemp("columns")
+        header = [f"c{k}" for k in range(len(columns))]
+        io._write_columns(tmp / "new.csv", header, columns)
+        _write_rows(tmp / "old.csv", header, rows)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    def test_cell_needing_quotes_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="quoting"):
+            io._write_columns(tmp_path / "q.csv", ["a"],
+                              [np.array(["x,y"])])
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            io._write_columns(tmp_path / "u.csv", ["a", "b"],
+                              [np.zeros(2), np.zeros(3)])
+
+
+@pytest.fixture(scope="module")
+def shipped_outputs(default_cfg):
+    """Inputs of each CSV writer, computed on the shipped calibration."""
+    cfg, det, env = default_cfg, default_cfg.detector, default_cfg.environment
+    sc = cfg.values["scenario"]
+    scenario = AttackScenario(flux_full=sc["flux_full"], env=env)
+    sweep = sweep_delay(det, scenario, np.linspace(0.0, 240.0, 961))
+    sec = cfg.values["contour"]
+    fluxes = np.linspace(sec["flux_min"], sec["flux_max"], sec["flux_points"])
+    delays = np.linspace(sec["delay_min"], sec["delay_max"],
+                         sec["delay_points"])
+    q_dd = float(np.nanmin([p.q_with_dd for p in sweep]))
+    attack = AttackScenario(flux_full=sc["flux_full"], delay=153.25, env=env)
+    return {  # writer name -> argument tuples
+        "histogram": [
+            (simulate_pulse_train(det, [(0, PulseSpec(sc["signal_flux"]))],
+                                  env, trials=20000, seed=7, window=12,
+                                  dead_time=50000.0),),
+            (attack_histogram(det, attack, "half", 12),)],
+        "sweep": [(sweep,)],
+        "contour": [(fluxes, delays,
+                     contour_flux_delay(det, env, fluxes, delays))],
+        "gate2": [(gate2_vs_delay(det, sc["flux_full"],
+                                  np.linspace(95.0, 960.0, 200), env),)],
+        "partial_attack": [(partial_attack_rates(min(q_dd, 0.5), 0.02,
+                                                 np.linspace(0, 1, 101)),)],
+        "feasibility": [(feasibility_band(np.geomspace(1e7, 5e9, 12), env,
+                                          det),)],
+    }
+
+
+@pytest.mark.parametrize("name, writer, oracle", [
+    ("histogram", io.write_histogram_csv, oracle_histogram_csv),
+    ("sweep", io.write_sweep_csv, oracle_sweep_csv),
+    ("contour", io.write_contour_csv, oracle_contour_csv),
+    ("gate2", io.write_gate2_csv, oracle_gate2_csv),
+    ("partial_attack", io.write_partial_attack_csv,
+     oracle_partial_attack_csv),
+    ("feasibility", io.write_feasibility_csv, oracle_feasibility_csv),
+])
+def test_writer_matches_row_writer_on_shipped_data(tmp_path, shipped_outputs,
+                                                   name, writer, oracle):
+    for args in shipped_outputs[name]:
+        writer(tmp_path / "new.csv", *args)
+        oracle(tmp_path / "old.csv", *args)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
