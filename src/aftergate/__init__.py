@@ -28,7 +28,6 @@ from .attack import (
     AttackScenario,
     KeyRateResult,
     NoSignalError,
-    QberPoint,
     attack_histogram,
     binary_entropy,
     contour_flux_delay,
@@ -41,7 +40,6 @@ from .attack import (
     sweep_delay,
 )
 from .feasibility import (
-    FrequencyVerdict,
     attack_qber_at_frequency,
     feasibility_band,
     noise_qber,

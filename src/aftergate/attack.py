@@ -44,20 +44,6 @@ class AttackScenario:
 
 
 @dataclass(frozen=True)
-class QberPoint:
-    """One delay sample of the attack sweep."""
-
-    delay: float
-    p_f: float
-    p_h: float
-    p_dd_f: float
-    p_dd_h: float
-    p_dd_bar: float
-    q_target: float
-    q_with_dd: float
-
-
-@dataclass(frozen=True)
 class KeyRateResult:
     qber: float
     rate: float
@@ -149,16 +135,19 @@ def _sweep_arrays(det: DetectorParams, flux_full: float, flux_half: float,
 
 
 def sweep_delay(det: DetectorParams, scenario: AttackScenario,
-                delays) -> list[QberPoint]:
+                delays) -> np.recarray:
     """Evaluate both QBER forms over a grid of pulse delays.
 
-    No-signal delays (both probabilities exactly zero) yield NaN QBER fields
-    rather than aborting the sweep, so output grids stay rectangular.
+    Returns one record per delay with fields delay, p_f, p_h, p_dd_f,
+    p_dd_h, p_dd_bar, q_target and q_with_dd. No-signal delays (both
+    probabilities exactly zero) yield NaN QBER fields rather than aborting
+    the sweep, so output grids stay rectangular.
     """
     d = _delay_grid(det, delays)
     columns = _sweep_arrays(det, scenario.flux_full, scenario.flux_half, d,
                             scenario.env)
-    return [QberPoint(*map(float, row)) for row in zip(d, *columns)]
+    return np.rec.fromarrays([d, *columns], names="delay,p_f,p_h,p_dd_f,"
+                             "p_dd_h,p_dd_bar,q_target,q_with_dd")
 
 
 def attack_histogram(det: DetectorParams, scenario: AttackScenario,
@@ -179,16 +168,17 @@ def attack_histogram(det: DetectorParams, scenario: AttackScenario,
 
 
 def gate2_vs_delay(det: DetectorParams, flux: float, delays,
-                   env: Environment) -> list[tuple[float, float]]:
+                   env: Environment) -> np.recarray:
     """Detection probability in the adjacent gate as the pulse slides from
-    the trailing edge into the inter-gate gap.
+    the trailing edge into the inter-gate gap, as records (delay,
+    probability).
 
     With both trap species active the curve first falls (multiplication-layer
     loading collapses with the avalanche charge) and then rises (interface
     survival grows as the wait to the next gate shrinks)."""
     d = _delay_grid(det, delays)
     p = delayed_click_probability_arrays(det, flux, d, env, gate_offset=1)
-    return [(float(di), float(pi)) for di, pi in zip(d, p)]
+    return np.rec.fromarrays([d, p], names="delay,probability")
 
 
 def contour_flux_delay(det: DetectorParams, env: Environment,
@@ -234,8 +224,9 @@ def key_rate(qber: float) -> KeyRateResult:
 
 
 def partial_attack_rates(q_attack: float, q_baseline: float,
-                         fractions) -> list[tuple[float, float, float]]:
-    """Key rate when only a fraction of gates is attacked.
+                         fractions) -> np.recarray:
+    """Key rate when only a fraction of gates is attacked, as records
+    (fraction, combined_rate, full_attack_rate).
 
     For each fraction f the combined rate is the convex mixture
     f * r(q_attack) + (1 - f) * r(q_baseline). By convexity of the rate in
@@ -247,8 +238,7 @@ def partial_attack_rates(q_attack: float, q_baseline: float,
             raise ValueError("QBER inputs must lie in [0, 0.5]")
     r_attack = key_rate(q_attack).rate
     r_base = key_rate(q_baseline).rate
-    out = []
-    for f in np.asarray(fractions, dtype=float):
-        combined = f * r_attack + (1.0 - f) * r_base
-        out.append((float(f), float(combined), r_attack))
-    return out
+    f = np.asarray(fractions, dtype=float)
+    return np.rec.fromarrays(
+        [f, f * r_attack + (1.0 - f) * r_base, np.full(f.shape, r_attack)],
+        names="fraction,combined_rate,full_attack_rate")

@@ -97,9 +97,8 @@ def _sweep_points(cfg: RunConfig):
 
 
 def _dip_delay(points) -> tuple[float, float]:
-    qs = np.array([p.q_target for p in points])
-    i = int(np.nanargmin(qs))
-    return points[i].delay, float(qs[i])
+    i = int(np.nanargmin(points.q_target))
+    return float(points.delay[i]), float(points.q_target[i])
 
 
 def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
@@ -108,8 +107,6 @@ def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
     gates = sec["gates"]
     pulse = PulseSpec(mean_flux=cfg.values["scenario"]["signal_flux"],
                       delay=sec["pulse_delay"])
-    if run["trials"] < 1:
-        raise ConfigError("run.trials must be >= 1")
     hist = simulate_pulse_train(
         cfg.detector, [(0, pulse)], cfg.environment, trials=run["trials"],
         seed=run["seed"], window=gates, workers=run["workers"],
@@ -148,15 +145,14 @@ def cmd_arrhenius(cfg: RunConfig, args, out: Path) -> None:
 def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
     points = _sweep_points(cfg)
     io.write_sweep_csv(out / "sweep.csv", points)
-    delays = [p.delay for p in points]
     threshold = cfg.values["feasibility"]["qber_threshold"]
-    svg.line_chart(out / "sweep.svg", delays,
-                   {"target-gate QBER": [p.q_target for p in points],
-                    "with delayed detection": [p.q_with_dd for p in points]},
+    svg.line_chart(out / "sweep.svg", points.delay,
+                   {"target-gate QBER": points.q_target,
+                    "with delayed detection": points.q_with_dd},
                    "QBER vs pulse delay", "delay (ps)", "QBER",
                    hline=threshold)
     delay, q_min = _dip_delay(points)
-    q_dd_min = float(np.nanmin([p.q_with_dd for p in points]))
+    q_dd_min = float(np.nanmin(points.q_with_dd))
     summary = {
         "min_q_target": q_min,
         "min_q_target_delay_ps": delay,
@@ -208,14 +204,14 @@ def cmd_gate2(cfg: RunConfig, args, out: Path) -> None:
     flux = cfg.values["scenario"]["flux_full"]
     points = gate2_vs_delay(det, flux, delays, cfg.environment)
     io.write_gate2_csv(out / "gate2.csv", points)
-    svg.line_chart(out / "gate2.svg", [d for d, _ in points],
-                   {"adjacent-gate probability": [p for _, p in points]},
+    svg.line_chart(out / "gate2.svg", points.delay,
+                   {"adjacent-gate probability": points.probability},
                    "adjacent-gate detection vs delay", "delay (ps)",
                    "probability")
-    probs = np.array([p for _, p in points])
-    i = int(np.argmin(probs))
-    print(f"adjacent-gate curve: min {probs[i]:.5f} at "
-          f"{points[i][0]:.1f} ps, interior minimum: {0 < i < len(points) - 1}")
+    i = int(np.argmin(points.probability))
+    print(f"adjacent-gate curve: min {points.probability[i]:.5f} at "
+          f"{points.delay[i]:.1f} ps, interior minimum: "
+          f"{0 < i < len(points) - 1}")
 
 
 def cmd_contour(cfg: RunConfig, args, out: Path) -> None:
@@ -243,8 +239,7 @@ def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
     q_attack = sec["q_attack"]
     q_baseline = sec["q_baseline"]
     if q_attack is None:
-        points = _sweep_points(cfg)
-        q_attack = float(np.nanmin([p.q_with_dd for p in points]))
+        q_attack = float(np.nanmin(_sweep_points(cfg).q_with_dd))
     if q_baseline is None:
         q_baseline = noise_qber(cfg.detector, cfg.environment,
                                 cfg.values["scenario"]["signal_flux"])
@@ -253,8 +248,8 @@ def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
     rows = partial_attack_rates(q_attack, q_baseline, fractions)
     io.write_partial_attack_csv(out / "partial_attack.csv", rows)
     svg.line_chart(out / "partial_attack.svg", fractions,
-                   {"combined rate": [r[1] for r in rows],
-                    "always-attack rate": [r[2] for r in rows]},
+                   {"combined rate": rows.combined_rate,
+                    "always-attack rate": rows.full_attack_rate},
                    "key rate vs attacked fraction", "attacked fraction",
                    "key rate")
     io.write_json(out / "partial_attack.json", {
@@ -263,7 +258,7 @@ def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
         "rate_attack": key_rate(q_attack).rate,
     })
     print(f"q_attack={q_attack:.4f} q_baseline={q_baseline:.4f}; "
-          f"combined rate at f=0.5: {rows[len(rows) // 2][1]:.4f}")
+          f"combined rate at f=0.5: {rows.combined_rate[len(rows) // 2]:.4f}")
 
 
 def cmd_feasibility(cfg: RunConfig, args, out: Path) -> None:
@@ -274,18 +269,16 @@ def cmd_feasibility(cfg: RunConfig, args, out: Path) -> None:
     summary = {}
     for temp in sec["temperatures"]:
         env = replace(cfg.environment, temperature=temp)
-        verdicts = feasibility_band(
+        band = feasibility_band(
             freqs, env, cfg.detector, signal_flux=sc["signal_flux"],
             attack_flux=sc["attack_flux"], threshold=threshold)
         tag = f"{temp:g}K"
-        io.write_feasibility_csv(out / f"feasibility_{tag}.csv", verdicts)
-        svg.band_chart(out / f"feasibility_{tag}.svg", freqs,
-                       [v.q_noise for v in verdicts],
-                       [v.q_attack for v in verdicts],
-                       [v.classification for v in verdicts],
+        io.write_feasibility_csv(out / f"feasibility_{tag}.csv", band)
+        svg.band_chart(out / f"feasibility_{tag}.svg", freqs, band.q_noise,
+                       band.q_attack, band.classification,
                        f"gating-frequency feasibility at {temp:g} K",
                        threshold)
-        interval = suitable_interval(verdicts)
+        interval = suitable_interval(band)
         summary[tag] = {
             "suitable_min_hz": interval[0] if interval else None,
             "suitable_max_hz": interval[1] if interval else None,
@@ -322,8 +315,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (LifetimeExtractionError, NoSignalError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (LifetimeExtractionError, NoSignalError, ValueError,
+            MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ import configparser
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
+from typing import get_type_hints
 
 from .detector import (DetectorParams, Environment, GateTiming, TrapKind,
                        TrapSpecies)
@@ -24,44 +25,41 @@ def _auto_or_float(raw: str):
     return None if raw.strip().lower() == "auto" else float(raw)
 
 
-def _float_list(raw: str):
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+def _count(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
 
 
-# section -> key -> caster
+def _seed(raw: str) -> int:
+    n = int(raw)
+    if not 0 <= n < 1 << 64:
+        raise ValueError("must lie in [0, 2**64)")
+    return n
+
+
+def _temperatures(raw: str) -> list[float]:
+    temps = [float(tok) for tok in raw.replace(",", " ").split()]
+    if not temps or len({f"{t:g}" for t in temps}) < len(temps):
+        raise ValueError("needs at least one value, each distinct at 6 "
+                         "significant digits, since they name output files")
+    return temps
+
+
+def _model_keys(*classes) -> dict:
+    """key -> caster for the float and int fields of model dataclasses."""
+    return {name: hint for cls in classes
+            for name, hint in get_type_hints(cls).items()
+            if hint in (float, int)}
+
+
+# section -> key -> caster; a caster raises ValueError on a bad value
 _SCHEMA = {
-    "detector": {
-        "detection_efficiency": float,
-        "discrimination_threshold": float,
-        "dark_count_prob": float,
-        "afterpulse_prob": float,
-        "afterpulse_spread_gates": int,
-        "gating_frequency": float,
-        "gate_width": float,
-        "trigger_peak": float,
-        "trigger_flat_fraction": float,
-        "gain_flat_fraction": float,
-        "gain_edge_fraction": float,
-        "gain_floor": float,
-    },
-    "traps.interface": {
-        "activation_energy": float,
-        "lifetime_prefactor": float,
-        "capture_fraction_photo": float,
-        "capture_per_avalanche_charge": float,
-        "retention_strength": float,
-    },
-    "traps.multiplication": {
-        "activation_energy": float,
-        "lifetime_prefactor": float,
-        "capture_fraction_photo": float,
-        "capture_per_avalanche_charge": float,
-        "retention_strength": float,
-    },
-    "environment": {
-        "temperature": float,
-        "excess_bias_fraction": float,
-    },
+    "detector": _model_keys(GateTiming, DetectorParams),
+    "traps.interface": _model_keys(TrapSpecies),
+    "traps.multiplication": _model_keys(TrapSpecies),
+    "environment": _model_keys(Environment),
     "scenario": {
         "flux_full": float,
         "flux_half": _auto_or_float,
@@ -72,43 +70,43 @@ _SCHEMA = {
     "sweep": {
         "delay_min": float,
         "delay_max": float,
-        "delay_points": int,
+        "delay_points": _count,
     },
     "histogram": {
-        "gates": int,
+        "gates": _count,
         "pulse_delay": float,
         "dead_time": float,
     },
     "gate2": {
         "delay_min": _auto_or_float,
         "delay_max": _auto_or_float,
-        "delay_points": int,
+        "delay_points": _count,
     },
     "contour": {
         "flux_min": float,
         "flux_max": float,
-        "flux_points": int,
+        "flux_points": _count,
         "delay_min": float,
         "delay_max": float,
-        "delay_points": int,
+        "delay_points": _count,
     },
     "feasibility": {
         "freq_min": float,
         "freq_max": float,
-        "freq_points": int,
-        "temperatures": _float_list,
+        "freq_points": _count,
+        "temperatures": _temperatures,
         "qber_threshold": float,
     },
     "partial_attack": {
         "q_attack": _auto_or_float,
         "q_baseline": _auto_or_float,
-        "fraction_points": int,
+        "fraction_points": _count,
     },
     "run": {
-        "seed": int,
-        "trials": int,
+        "seed": _seed,
+        "trials": _count,
         "output_dir": str,
-        "workers": int,
+        "workers": _count,
     },
 }
 
@@ -129,6 +127,18 @@ def default_config_path() -> Path:
     return Path(resources.files("aftergate").joinpath("data/default.ini"))
 
 
+def _cast(section: str, key: str, raw: str):
+    """raw cast by the schema; a bad key or value raises ConfigError."""
+    caster = _SCHEMA.get(section, {}).get(key)
+    if caster is None:
+        raise ConfigError(f"unknown key '{key}' in section [{section}]")
+    try:
+        return caster(raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
+
+
 def _parse(path: Path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -141,15 +151,8 @@ def _parse(path: Path) -> dict:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        values[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            try:
-                values[section][key] = _SCHEMA[section][key](raw)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"bad value for {section}.{key}: {raw!r}") from exc
+        values[section] = {key: _cast(section, key, raw)
+                           for key, raw in parser.items(section)}
     return values
 
 
@@ -161,12 +164,7 @@ def _apply_overrides(values: dict, overrides) -> None:
         if "." not in target:
             raise ConfigError(f"override target {target!r} needs section.key")
         section, key = target.rsplit(".", 1)
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown override target {target!r}")
-        try:
-            values.setdefault(section, {})[key] = _SCHEMA[section][key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {target}: {raw!r}") from exc
+        values.setdefault(section, {})[key] = _cast(section, key, raw)
 
 
 def _build(cls, sec: dict, **fixed):
@@ -197,10 +195,6 @@ def load_config(path: str | Path | None = None,
     missing = [s for s in _REQUIRED_SECTIONS if s not in values]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
-    temps = values["feasibility"]["temperatures"]
-    if not temps or len({f"{t:g}" for t in temps}) < len(temps):
-        raise ConfigError("feasibility.temperatures needs values that differ "
-                          "at 6 significant digits: they name output files")
     det_sec = dict(values["detector"])
     try:
         timing = GateTiming(gating_frequency=det_sec.pop("gating_frequency"),

@@ -11,7 +11,7 @@ Vulnerable, and the window in between is Suitable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,14 +22,6 @@ from .detector import (DetectorParams, Environment, GateTiming,  # noqa: F401
                        PulseSpec, afterpulse_background, click_probability,
                        click_probability_array, delayed_click_probability_arrays,
                        delayed_release_mean, trap_lifetime, trap_loading)
-
-
-@dataclass(frozen=True)
-class FrequencyVerdict:
-    frequency: float  # Hz
-    q_noise: float
-    q_attack: float
-    classification: str  # "Noisy" | "Suitable" | "Vulnerable"
 
 
 def classify(q_noise: float, q_attack: float,
@@ -102,25 +94,27 @@ def feasibility_band(frequencies, env: Environment,
                      det_template: DetectorParams,
                      signal_flux: float = 0.1,
                      attack_flux: float = 20.0,
-                     threshold: float = QBER_THRESHOLD) -> list[FrequencyVerdict]:
-    """One verdict per frequency, ascending grid."""
+                     threshold: float = QBER_THRESHOLD) -> np.recarray:
+    """One verdict per frequency of an ascending grid, as records
+    (frequency [Hz], q_noise, q_attack, classification)."""
     freqs = np.asarray(frequencies, dtype=float)
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("frequency grid must be sorted ascending")
-    out = []
+    qs = []
     for f in freqs:
         det = rescale_detector(det_template, f)
-        qn = noise_qber(det, env, signal_flux)
-        qa = attack_qber_at_frequency(det, env, attack_flux)
-        out.append(FrequencyVerdict(frequency=float(f), q_noise=qn,
-                                    q_attack=qa,
-                                    classification=classify(qn, qa, threshold)))
-    return out
+        qs.append((noise_qber(det, env, signal_flux),
+                   attack_qber_at_frequency(det, env, attack_flux)))
+    q_noise, q_attack = np.array(qs).reshape(-1, 2).T
+    classes = [classify(qn, qa, threshold) for qn, qa in qs]
+    return np.rec.fromarrays([freqs, q_noise, q_attack,
+                              np.array(classes, dtype=str)],
+                             names="frequency,q_noise,q_attack,classification")
 
 
-def suitable_interval(verdicts: list[FrequencyVerdict]) -> tuple[float, float] | None:
+def suitable_interval(band: np.recarray) -> tuple[float, float] | None:
     """(min_hz, max_hz) of the Suitable grid points, or None if empty."""
-    fs = [v.frequency for v in verdicts if v.classification == "Suitable"]
-    if not fs:
+    fs = band.frequency[band.classification == "Suitable"]
+    if not fs.size:
         return None
-    return (min(fs), max(fs))
+    return (float(fs.min()), float(fs.max()))

@@ -8,7 +8,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import astuple
 
 import numpy as np
 
@@ -40,8 +39,9 @@ def _write_columns(path, header, columns) -> None:
         fh.write("\n".join([",".join(header), *rows]) + "\n")
 
 
-def _float_columns(rows, width: int) -> np.ndarray:
-    return np.asarray(rows, dtype=np.float64).reshape(-1, width).T
+def _write_table(path, header, table) -> None:
+    """CSV of a record array's fields, in order, under `header`."""
+    _write_columns(path, header, [table[name] for name in table.dtype.names])
 
 
 def write_histogram_csv(path, hist: GateHistogram) -> None:
@@ -54,9 +54,8 @@ def write_histogram_csv(path, hist: GateHistogram) -> None:
 
 
 def write_sweep_csv(path, points) -> None:
-    _write_columns(path, ["delay_ps", "p_f", "p_h", "p_dd_f", "p_dd_h",
-                          "p_dd_bar", "q_target", "q_with_dd"],
-                   _float_columns([astuple(p) for p in points], 8))
+    _write_table(path, ["delay_ps", "p_f", "p_h", "p_dd_f", "p_dd_h",
+                        "p_dd_bar", "q_target", "q_with_dd"], points)
 
 
 def write_contour_csv(path, fluxes, delays, qber_matrix) -> None:
@@ -69,21 +68,16 @@ def write_contour_csv(path, fluxes, delays, qber_matrix) -> None:
 
 
 def write_gate2_csv(path, points) -> None:
-    _write_columns(path, ["delay_ps", "probability"],
-                   _float_columns(points, 2))
+    _write_table(path, ["delay_ps", "probability"], points)
 
 
 def write_partial_attack_csv(path, rows) -> None:
-    _write_columns(path, ["fraction", "combined_rate", "full_attack_rate"],
-                   _float_columns(rows, 3))
+    _write_table(path, ["fraction", "combined_rate", "full_attack_rate"], rows)
 
 
-def write_feasibility_csv(path, verdicts) -> None:
-    _write_columns(path, ["frequency_hz", "q_noise", "q_attack",
-                          "classification"],
-                   [*_float_columns([(v.frequency, v.q_noise, v.q_attack)
-                                     for v in verdicts], 3),
-                    np.array([v.classification for v in verdicts], dtype=str)])
+def write_feasibility_csv(path, band) -> None:
+    _write_table(path, ["frequency_hz", "q_noise", "q_attack",
+                        "classification"], band)
 
 
 def read_arrhenius_csv(path) -> list[LifetimePoint]:
@@ -105,17 +99,19 @@ def read_arrhenius_csv(path) -> list[LifetimePoint]:
 
 
 def write_json(path, payload: dict) -> None:
+    """JSON with numpy scalars as Python values and NaN or +-inf as null."""
     def clean(obj):
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return obj.item()
-        if isinstance(obj, float) and math.isnan(obj):
+        if isinstance(obj, np.generic):
+            obj = obj.item()
+        if isinstance(obj, float) and not math.isfinite(obj):
             return None
         return obj
 
     with open(path, "w", newline="\n") as fh:
-        json.dump(clean(payload), fh, indent=2, sort_keys=True)
+        json.dump(clean(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")

@@ -55,7 +55,7 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
 
 def _run_chunk(seed: int, chunk_index: int, n: int, p_click: np.ndarray,
                dead_time: float, gate_period: float) -> np.ndarray:
-    key = np.array([seed % (1 << 64), chunk_index], dtype=np.uint64)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     clicked = rng.random((n, p_click.size)) < p_click
     return dead_time_counts(clicked, dead_time, gate_period)
@@ -78,6 +78,8 @@ def simulate_pulse_train(det: DetectorParams,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("seed must lie in [0, 2**64)")
     if not dead_time >= 0:
         raise ValueError("dead_time must be >= 0")
     if not pulses:

@@ -173,7 +173,7 @@ class TestDelayGridValidation:
         assert [p.delay for p in pts] == [150.0, 20.0]
         forward = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
                               [20.0, 150.0])
-        assert pts == forward[::-1]
+        assert pts.tolist() == forward[::-1].tolist()
 
 
 def dip_delay(det, env, grid):
@@ -353,6 +353,14 @@ class TestPartialAttack:
         for f, combined, _ in rows:
             blended = key_rate(f * 0.12 + (1 - f) * 0.02).rate
             assert combined >= blended - 1e-12
+
+    def test_equals_per_fraction_loop(self):
+        # the loop the vectorized mixture replaced, same float64 operations
+        fractions = np.linspace(0.0, 1.0, 101)
+        r_attack, r_base = key_rate(0.05).rate, key_rate(0.02).rate
+        expected = [(f, f * r_attack + (1.0 - f) * r_base, r_attack)
+                    for f in fractions]
+        assert partial_attack_rates(0.05, 0.02, fractions).tolist() == expected
 
     def test_rejects_out_of_range_qber(self):
         with pytest.raises(ValueError):

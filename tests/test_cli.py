@@ -243,6 +243,51 @@ class TestErrorPaths:
         assert "feasibility.temperatures" in err
         assert not list(tmp_path.glob("feasibility_*"))
 
+    @pytest.mark.parametrize("key, argv", [
+        ("sweep.delay_points", ["--set", "sweep.delay_points=0", "sweep"]),
+        ("gate2.delay_points", ["--set", "gate2.delay_points=0", "gate2"]),
+        ("partial_attack.fraction_points",
+         ["--set", "partial_attack.fraction_points=0", "partial-attack"]),
+        ("feasibility.freq_points",
+         ["--set", "feasibility.freq_points=0", "feasibility"]),
+        ("histogram.gates", ["--set", "histogram.gates=0", "histogram"]),
+        ("contour.flux_points", ["--set", "contour.flux_points=0", "contour"]),
+        ("contour.delay_points",
+         ["--set", "contour.delay_points=-3", "contour"]),
+        ("run.workers", ["--workers", "0", "histogram"]),
+        ("run.trials", ["--trials", "-1", "histogram"]),
+        ("run.seed", ["--seed", "-5", "histogram"]),
+        ("run.seed", ["--seed", str(2 ** 64), "histogram"]),
+    ])
+    def test_count_and_seed_out_of_range_is_config_error(self, tmp_path,
+                                                         capsys, key, argv):
+        code = main(["--out", str(tmp_path), *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_accepted(self, tmp_path):
+        assert main(["--out", str(tmp_path), "--seed", str(2 ** 64 - 1),
+                     "--trials", "1000", "histogram"]) == 0
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 745. GiB for an array with shape "
+                    "(100000000000,) and data type float64"),
+        MemoryError()])
+    def test_memory_error_is_numerical_failure(self, tmp_path, capsys,
+                                               monkeypatch, exc):
+        import aftergate.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "simulate_pulse_train", exhausted)
+        assert main(["--out", str(tmp_path), "histogram"]) == 2
+        expected = str(exc) or "MemoryError"
+        assert capsys.readouterr().err == f"numerical failure: {expected}\n"
+        assert not (tmp_path / "histogram.csv").exists()
+
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         import aftergate.cli as cli
         monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envout"))

@@ -180,8 +180,9 @@ class TestCsvFormats:
                           "q_target,q_with_dd")
 
     def test_feasibility_header(self, tmp_path):
-        from aftergate import FrequencyVerdict
-        verdicts = [FrequencyVerdict(1e9, 0.01, 0.2, "Suitable")]
+        verdicts = np.rec.fromarrays(
+            [[1e9], [0.01], [0.2], ["Suitable"]],
+            names="frequency,q_noise,q_attack,classification")
         path = tmp_path / "f.csv"
         write_feasibility_csv(path, verdicts)
         lines = path.read_text().splitlines()
@@ -202,6 +203,17 @@ class TestCsvFormats:
         path.write_text("temp,tau\n293,480\n")
         with pytest.raises(ValueError):
             read_arrhenius_csv(path)
+
+    def test_json_writes_non_finite_floats_as_null(self, tmp_path):
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+        path = tmp_path / "x.json"
+        write_json(path, {"a": float("inf"), "b": -math.inf,
+                          "c": [np.float64("nan"), np.float32("-inf")],
+                          "d": np.bool_(True), "e": np.float64(2.5)})
+        data = json.loads(path.read_text(), parse_constant=reject)
+        assert data == {"a": None, "b": None, "c": [None, None], "d": True,
+                        "e": 2.5}
 
     def test_json_serializes_nan_as_null(self, tmp_path):
         path = tmp_path / "x.json"

@@ -60,6 +60,11 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             simulate_pulse_train(det, specs, env, trials=10, seed=1, window=8)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_uint64_rejected(self, det, env, seed):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_pulse_train(det, pulses(), env, trials=10, seed=seed)
+
     def test_negative_dead_time_rejected(self, det, env):
         with pytest.raises(ValueError):
             simulate_pulse_train(det, pulses(), env, trials=10, seed=1,
