@@ -39,5 +39,5 @@ print(f"\ngate 2 / gate 1 = {ratio:.4f} (about one percent: trap release "
 write_histogram_csv(OUT / "histogram.csv", hist)
 bar_chart(OUT / "histogram.svg", [str(i + 1) for i in range(gates)],
           hist.gate_counts, "single-photon click histogram", "gate index",
-          "counts", log_y=True)
+          "counts")
 print(f"wrote {OUT / 'histogram.csv'} and {OUT / 'histogram.svg'}")

@@ -19,11 +19,11 @@ OUT = Path(__file__).resolve().parent / "out"
 OUT.mkdir(exist_ok=True)
 
 cfg = load_config()
-det, env = cfg.detector, cfg.environment
+det = cfg.detector
 
 fluxes = np.arange(2.0, 101.0, 2.0)
 delays = np.arange(0.0, 200.5, 1.0)
-matrix = contour_flux_delay(det, env, fluxes, delays)
+matrix = contour_flux_delay(det, fluxes, delays)
 
 region = sub_threshold_region(matrix, 0.11)
 print(f"grid: {len(fluxes)} fluxes x {len(delays)} delays")

@@ -181,8 +181,7 @@ def gate2_vs_delay(det: DetectorParams, flux: float, delays,
     return np.rec.fromarrays([d, p], names="delay,probability")
 
 
-def contour_flux_delay(det: DetectorParams, env: Environment,
-                       fluxes, delays) -> np.ndarray:
+def contour_flux_delay(det: DetectorParams, fluxes, delays) -> np.ndarray:
     """Target-gate QBER over a (flux, delay) grid; half power is flux/2.
 
     Returns a matrix with shape (len(fluxes), len(delays)); no-signal cells
@@ -236,9 +235,11 @@ def partial_attack_rates(q_attack: float, q_baseline: float,
     for q in (q_attack, q_baseline):
         if not (0.0 <= q <= 0.5):
             raise ValueError("QBER inputs must lie in [0, 0.5]")
+    f = np.asarray(fractions, dtype=float)
+    if not np.all((f >= 0.0) & (f <= 1.0)):
+        raise ValueError("attacked fractions must lie in [0, 1]")
     r_attack = key_rate(q_attack).rate
     r_base = key_rate(q_baseline).rate
-    f = np.asarray(fractions, dtype=float)
     return np.rec.fromarrays(
         [f, f * r_attack + (1.0 - f) * r_base, np.full(f.shape, r_attack)],
         names="fraction,combined_rate,full_attack_rate")

@@ -127,9 +127,9 @@ def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
                          gate_period=gate_period)
 
 
-def estimate_background(hist: GateHistogram, flat_from_gate: int = 6) -> float:
-    """Mean count of the gates past the decay region (1-based gate index)."""
-    tail = hist.gate_counts[flat_from_gate - 1:]
+def estimate_background(hist: GateHistogram) -> float:
+    """Mean count of gates 6 onward (1-based), past the decay region."""
+    tail = hist.gate_counts[5:]
     if tail.size == 0:
         return 0.0
     return float(np.mean(tail))

@@ -58,17 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override a config key, e.g. "
                              "--set detector.dark_count_prob=1e-4")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("histogram", help="simulate a pulse train and write the "
-                                     "per-gate click histogram")
-    arr = sub.add_parser("arrhenius", help="fit lifetimes vs temperature")
-    arr.add_argument("--input", type=Path, required=True,
-                     help="CSV with temperature_k,lifetime_ps,excess_bias")
-    sub.add_parser("sweep", help="attack QBER vs pulse delay")
-    sub.add_parser("attack-hist", help="per-gate probabilities under attack")
-    sub.add_parser("gate2", help="adjacent-gate probability vs delay")
-    sub.add_parser("contour", help="QBER over a flux/delay grid")
-    sub.add_parser("partial-attack", help="key rate vs attacked fraction")
-    sub.add_parser("feasibility", help="classify gating frequencies")
+    for name, (_, help_text) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
+    sub.choices["arrhenius"].add_argument(
+        "--input", type=Path, required=True,
+        help="CSV with temperature_k,lifetime_ps,excess_bias")
     return parser
 
 
@@ -114,7 +108,7 @@ def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
     io.write_histogram_csv(out / "histogram.csv", hist)
     svg.bar_chart(out / "histogram.svg",
                   [str(i + 1) for i in range(gates)], hist.gate_counts,
-                  "per-gate click counts", "gate index", "counts", log_y=True)
+                  "per-gate click counts", "gate index", "counts")
     print(f"wrote {out / 'histogram.csv'} and histogram.svg "
           f"(gate 1 count {int(hist.gate_counts[0])})")
 
@@ -219,7 +213,7 @@ def cmd_contour(cfg: RunConfig, args, out: Path) -> None:
     fluxes = np.linspace(sec["flux_min"], sec["flux_max"], sec["flux_points"])
     delays = np.linspace(sec["delay_min"], sec["delay_max"],
                          sec["delay_points"])
-    matrix = contour_flux_delay(cfg.detector, cfg.environment, fluxes, delays)
+    matrix = contour_flux_delay(cfg.detector, fluxes, delays)
     io.write_contour_csv(out / "contour.csv", fluxes, delays, matrix)
     threshold = cfg.values["feasibility"]["qber_threshold"]
     svg.heatmap(out / "contour.svg", delays, fluxes, matrix,
@@ -289,15 +283,17 @@ def cmd_feasibility(cfg: RunConfig, args, out: Path) -> None:
     io.write_json(out / "feasibility_summary.json", summary)
 
 
+# name -> (function, help), in the order `aftergate --help` lists them
 _COMMANDS = {
-    "histogram": cmd_histogram,
-    "arrhenius": cmd_arrhenius,
-    "sweep": cmd_sweep,
-    "attack-hist": cmd_attack_hist,
-    "gate2": cmd_gate2,
-    "contour": cmd_contour,
-    "partial-attack": cmd_partial_attack,
-    "feasibility": cmd_feasibility,
+    "histogram": (cmd_histogram, "simulate a pulse train and write the "
+                                 "per-gate click histogram"),
+    "arrhenius": (cmd_arrhenius, "fit lifetimes vs temperature"),
+    "sweep": (cmd_sweep, "attack QBER vs pulse delay"),
+    "attack-hist": (cmd_attack_hist, "per-gate probabilities under attack"),
+    "gate2": (cmd_gate2, "adjacent-gate probability vs delay"),
+    "contour": (cmd_contour, "QBER over a flux/delay grid"),
+    "partial-attack": (cmd_partial_attack, "key rate vs attacked fraction"),
+    "feasibility": (cmd_feasibility, "classify gating frequencies"),
 }
 
 
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
             if getattr(args, key) is not None]
         cfg = load_config(args.config, overrides=overrides)
         out = _outdir(args, cfg)
-        _COMMANDS[args.command](cfg, args, out)
+        _COMMANDS[args.command][0](cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

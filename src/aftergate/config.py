@@ -8,21 +8,29 @@ fields. Unknown sections or keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
-from .detector import (DetectorParams, Environment, GateTiming, TrapKind,
-                       TrapSpecies)
+from .detector import (CAPTURE_PARAMS, DetectorParams, Environment,
+                       GateTiming, TrapKind, TrapSpecies)
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _float(raw: str) -> float:
+    x = float(raw)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
 def _auto_or_float(raw: str):
-    return None if raw.strip().lower() == "auto" else float(raw)
+    return None if raw.strip().lower() == "auto" else _float(raw)
 
 
 def _count(raw: str) -> int:
@@ -40,42 +48,47 @@ def _seed(raw: str) -> int:
 
 
 def _temperatures(raw: str) -> list[float]:
-    temps = [float(tok) for tok in raw.replace(",", " ").split()]
+    temps = [_float(tok) for tok in raw.replace(",", " ").split()]
     if not temps or len({f"{t:g}" for t in temps}) < len(temps):
         raise ValueError("needs at least one value, each distinct at 6 "
                          "significant digits, since they name output files")
     return temps
 
 
-def _model_keys(*classes) -> dict:
-    """key -> caster for the float and int fields of model dataclasses."""
-    return {name: hint for cls in classes
+def _model_keys(*classes, skip=()) -> dict:
+    """key -> caster for the float and int fields of model dataclasses,
+    leaving out the names in skip."""
+    casters = {float: _float, int: int}
+    return {name: casters[hint] for cls in classes
             for name, hint in get_type_hints(cls).items()
-            if hint in (float, int)}
+            if hint in casters and name not in skip}
 
 
 # section -> key -> caster; a caster raises ValueError on a bad value
 _SCHEMA = {
     "detector": _model_keys(GateTiming, DetectorParams),
-    "traps.interface": _model_keys(TrapSpecies),
-    "traps.multiplication": _model_keys(TrapSpecies),
+    # each [traps.*] section takes only the capture keys its kind reads
+    "traps.interface": _model_keys(
+        TrapSpecies, skip=CAPTURE_PARAMS[TrapKind.MULTIPLICATION]),
+    "traps.multiplication": _model_keys(
+        TrapSpecies, skip=CAPTURE_PARAMS[TrapKind.INTERFACE]),
     "environment": _model_keys(Environment),
     "scenario": {
-        "flux_full": float,
+        "flux_full": _float,
         "flux_half": _auto_or_float,
-        "signal_flux": float,
-        "attack_flux": float,
+        "signal_flux": _float,
+        "attack_flux": _float,
         "attack_delay": _auto_or_float,
     },
     "sweep": {
-        "delay_min": float,
-        "delay_max": float,
+        "delay_min": _float,
+        "delay_max": _float,
         "delay_points": _count,
     },
     "histogram": {
         "gates": _count,
-        "pulse_delay": float,
-        "dead_time": float,
+        "pulse_delay": _float,
+        "dead_time": _float,
     },
     "gate2": {
         "delay_min": _auto_or_float,
@@ -83,19 +96,19 @@ _SCHEMA = {
         "delay_points": _count,
     },
     "contour": {
-        "flux_min": float,
-        "flux_max": float,
+        "flux_min": _float,
+        "flux_max": _float,
         "flux_points": _count,
-        "delay_min": float,
-        "delay_max": float,
+        "delay_min": _float,
+        "delay_max": _float,
         "delay_points": _count,
     },
     "feasibility": {
-        "freq_min": float,
-        "freq_max": float,
+        "freq_min": _float,
+        "freq_max": _float,
         "freq_points": _count,
         "temperatures": _temperatures,
-        "qber_threshold": float,
+        "qber_threshold": _float,
     },
     "partial_attack": {
         "q_attack": _auto_or_float,
@@ -195,6 +208,11 @@ def load_config(path: str | Path | None = None,
     missing = [s for s in _REQUIRED_SECTIONS if s not in values]
     if missing:
         raise ConfigError(f"missing required sections: {', '.join(missing)}")
+    feas = values["feasibility"]
+    lo, hi = feas["freq_min"], feas["freq_max"]
+    if not (0 < lo < hi or 0 < lo == hi and feas["freq_points"] == 1):
+        raise ConfigError(f"need 0 < feasibility.freq_min < feasibility."
+                          f"freq_max (equal at 1 point), got {lo:g}, {hi:g}")
     det_sec = dict(values["detector"])
     try:
         timing = GateTiming(gating_frequency=det_sec.pop("gating_frequency"),

@@ -32,21 +32,22 @@ class TrapKind(Enum):
 
 @dataclass(frozen=True)
 class Environment:
-    """Operating point at which lifetimes and profiles are evaluated.
-
-    The excess bias is expressed as a fraction of the breakdown overdrive and
-    is held constant across temperatures when lifetimes are compared on an
-    Arrhenius plot.
-    """
+    """Operating point at which trap lifetimes are evaluated."""
 
     temperature: float  # kelvin
-    excess_bias_fraction: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if not (0.0 < self.excess_bias_fraction <= 1.0):
-            raise ValueError("excess_bias_fraction must lie in (0, 1]")
+
+
+# The capture parameters each kind's loading reads (see trap_loading); a
+# species must leave the other kind's at 0.
+CAPTURE_PARAMS = {
+    TrapKind.INTERFACE: ("capture_fraction_photo",),
+    TrapKind.MULTIPLICATION: ("capture_per_avalanche_charge",
+                              "retention_strength"),
+}
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,12 @@ class TrapSpecies:
     The release lifetime follows an Arrhenius law
     tau(T) = lifetime_prefactor * exp(activation_energy / (k_B T)).
 
-    capture_fraction_photo applies to photogenerated holes that fail to cross
-    into the multiplication region within their gate; capture_per_avalanche_charge
-    applies per unit of normalized avalanche charge and is meaningful only for
-    the multiplication species. retention_strength steers how much more charge
-    stays trapped when the gate closes early (low gain), as
-    1 + retention_strength * (1 - gain).
+    capture_fraction_photo (interface only) applies to photogenerated holes
+    that fail to cross into the multiplication region within their gate;
+    capture_per_avalanche_charge applies per unit of normalized avalanche
+    charge, and retention_strength steers how much more charge stays trapped
+    when the gate closes early (low gain), as 1 + retention_strength * (1 -
+    gain); both are multiplication only (CAPTURE_PARAMS).
     """
 
     kind: TrapKind
@@ -82,8 +83,11 @@ class TrapSpecies:
             raise ValueError("capture_per_avalanche_charge must be >= 0")
         if self.retention_strength < 0:
             raise ValueError("retention_strength must be >= 0")
-        if self.kind is TrapKind.INTERFACE and self.capture_per_avalanche_charge != 0.0:
-            raise ValueError("interface species cannot capture avalanche charge")
+        for kind, names in CAPTURE_PARAMS.items():
+            for name in names:
+                if kind is not self.kind and getattr(self, name) != 0.0:
+                    raise ValueError(f"{self.kind.value} species never reads "
+                                     f"{name}; it must be 0")
 
 
 @dataclass(frozen=True)

@@ -71,18 +71,17 @@ def noise_qber(det: DetectorParams, env: Environment,
 
 
 def attack_qber_at_frequency(det: DetectorParams, env: Environment,
-                             attack_flux: float = 20.0,
-                             delay_points: int = 512) -> float:
+                             attack_flux: float = 20.0) -> float:
     """Best corrected QBER an attacker can reach at this clock rate.
 
-    Minimizes the delayed-detection QBER over the pulse delay (the attacker
+    Minimizes the delayed-detection QBER over 512 pulse delays (the attacker
     picks the most favorable delay) at the conservative attack flux.
     """
     if attack_flux <= 0:
         raise ValueError("attack_flux must be > 0")
     width = det.timing.gate_width
     period = det.timing.gate_period
-    delays = np.linspace(0.0, min(1.05 * width, 0.999 * period), delay_points)
+    delays = np.linspace(0.0, min(1.05 * width, 0.999 * period), 512)
     q = _sweep_arrays(det, attack_flux, attack_flux / 2.0, delays, env)[-1]
     if np.all(np.isnan(q)):
         raise ValueError("attack sweep produced no signal at any delay; "

@@ -39,7 +39,9 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
 
     The per-gate probability that neither light, trap release nor a dark
     count clicks sets the flat afterpulse background, an independent last
-    source."""
+    source. Every pulse gate must lie in [0, window)."""
+    if not all(0 <= gate < window for gate, _ in pulses):
+        raise ValueError(f"pulse gates must lie in [0, window={window})")
     p_no_click = np.full(window, 1.0 - det.dark_count_prob)
     for gate, pulse in pulses:
         pulse.validate_against(det.timing)
@@ -89,8 +91,6 @@ def simulate_pulse_train(det: DetectorParams,
         raise ValueError("pulse gate indices must be strictly increasing")
     if window is None:
         window = gates[-1] + 12
-    if window <= gates[-1]:
-        raise ValueError(f"window {window} too small to contain all pulses")
 
     p_click = analytic_gate_probabilities(det, pulses, env, window)
     n_chunks = (trials + _CHUNK - 1) // _CHUNK

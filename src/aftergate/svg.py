@@ -59,31 +59,31 @@ def _polyline(points, color) -> str:
             f'stroke-width="1.5"/>')
 
 
-def _tick_labels(parts, sx, sy, xticks, yticks, fmt="{:g}"):
+def _tick_labels(parts, xticks, yticks):
+    """Tick marks labelled with their values, from (pixel, value) pairs
+    along each axis."""
     y0 = _H - _MB
-    for tx in xticks:
-        px = sx(tx)
+    for px, tx in xticks:
         parts.append(f'<line x1="{px:.1f}" y1="{y0}" x2="{px:.1f}" '
                      f'y2="{y0 + 4}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{y0 + 17}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">'
-                     f'{fmt.format(tx)}</text>')
-    for ty in yticks:
-        py = sy(ty)
+                     f'{tx:.3g}</text>')
+    for py, ty in yticks:
         parts.append(f'<line x1="{_ML - 4}" y1="{py:.1f}" x2="{_ML}" '
                      f'y2="{py:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 7}" y="{py + 3:.1f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">'
-                     f'{fmt.format(ty)}</text>')
+                     f'{ty:.3g}</text>')
 
 
-def bar_chart(path, labels, values, title, xlab, ylab, log_y=True) -> None:
+def bar_chart(path, labels, values, title, xlab, ylab) -> None:
     values = np.asarray(values, dtype=float)
     positive = values[values > 0]
     floor = float(positive.min()) * 0.5 if positive.size else 1e-6
     top = float(values.max()) * 1.5 if values.max() > 0 else 1.0
     parts = _open(title)
-    sy = _scale(floor, top, _H - _MB, _MT, log=log_y)
+    sy = _scale(floor, top, _H - _MB, _MT, log=True)
     sx = _scale(-0.5, len(values) - 0.5, _ML, _W - _MR)
     width = (sx(1) - sx(0)) * 0.7
     for i, v in enumerate(values):
@@ -99,8 +99,7 @@ def bar_chart(path, labels, values, title, xlab, ylab, log_y=True) -> None:
     _write(path, parts, xlab, ylab)
 
 
-def line_chart(path, x, series: dict, title, xlab, ylab, hline=None,
-               log_x=False) -> None:
+def line_chart(path, x, series: dict, title, xlab, ylab, hline=None) -> None:
     x = np.asarray(x, dtype=float)
     all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     finite = all_y[np.isfinite(all_y)]
@@ -109,7 +108,7 @@ def line_chart(path, x, series: dict, title, xlab, ylab, hline=None,
     if hline is not None:
         lo, hi = min(lo, hline), max(hi, hline)
     pad = 0.06 * (hi - lo or 1.0)
-    sx = _scale(float(x.min()), float(x.max()), _ML, _W - _MR, log=log_x)
+    sx = _scale(float(x.min()), float(x.max()), _ML, _W - _MR)
     sy = _scale(lo - pad, hi + pad, _H - _MB, _MT)
     parts = _open(title)
     if hline is not None:
@@ -124,20 +123,22 @@ def line_chart(path, x, series: dict, title, xlab, ylab, hline=None,
         parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 14 + 14 * k}" '
                      f'text-anchor="end" font-family="sans-serif" '
                      f'font-size="11" fill="{color}">{name}</text>')
-    xticks = np.linspace(float(x.min()), float(x.max()), 5) if not log_x else \
-        10.0 ** np.arange(math.ceil(math.log10(x.min())),
-                          math.floor(math.log10(x.max())) + 1)
-    yticks = np.linspace(lo, hi, 5)
-    _tick_labels(parts, sx, sy, xticks, yticks, fmt="{:.3g}")
+    _tick_labels(parts,
+                 [(sx(t), t) for t in np.linspace(x.min(), x.max(), 5)],
+                 [(sy(t), t) for t in np.linspace(lo, hi, 5)])
     _write(path, parts, xlab, ylab)
 
 
 def heatmap(path, xs, ys, matrix, title, xlab, ylab, iso=None) -> None:
     """Raster-style heatmap; matrix[i, j] maps row i -> ys[i], col j -> xs[j].
     Each horizontal run of cells with one fill is drawn as one rect. iso, if
-    given, is a threshold: cells strictly below it get an outline."""
+    given, is a threshold: cells strictly below it get an outline. Each axis
+    gets up to 5 tick labels, at the grid values of evenly spaced cells."""
     matrix = np.asarray(matrix, dtype=float)
     rows, cols = matrix.shape
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.shape != (cols,) or ys.shape != (rows,):
+        raise ValueError("xs and ys must match the matrix columns and rows")
     finite = np.isfinite(matrix)
     lo = float(matrix[finite].min()) if finite.any() else 0.0
     hi = float(matrix[finite].max()) if finite.any() else 1.0
@@ -175,6 +176,10 @@ def heatmap(path, xs, ys, matrix, title, xlab, ylab, iso=None) -> None:
         for i, j in zip(*np.nonzero(edge[1:-1, :-1] != edge[1:-1, 1:])):
             parts.append(f'<line x1="{px[j]}" y1="{py[i]}" '
                          f'x2="{px[j]}" y2="{py[i + 1]}" {dash}')
+    jx, iy = (np.unique(np.linspace(0, n - 1, 5).round().astype(int))
+              for n in (cols, rows))
+    _tick_labels(parts, [(sx(j + 0.5), xs[j]) for j in jx],
+                 [(sy(i + 0.5), ys[i]) for i in iy])
     _write(path, parts, xlab, ylab)
 
 

@@ -21,7 +21,7 @@ def env(default_cfg):
 
 @pytest.fixture(scope="session")
 def cold_env():
-    return Environment(temperature=223.15, excess_bias_fraction=0.5)
+    return Environment(temperature=223.15)
 
 
 @pytest.fixture(scope="session")

@@ -160,7 +160,7 @@ class TestDelayGridValidation:
     @pytest.mark.parametrize("bad", BAD)
     def test_contour_rejects_delay_outside_period(self, det, env, bad):
         with pytest.raises(ValueError, match="delay grid"):
-            contour_flux_delay(det, env, [20.0, 80.0], [20.0, bad])
+            contour_flux_delay(det, [20.0, 80.0], [20.0, bad])
 
     @pytest.mark.parametrize("delays", [[20.0, math.nan], [[20.0, 40.0]]])
     def test_non_finite_or_not_1d_rejected(self, det, env, delays):
@@ -211,6 +211,11 @@ class TestAttackHistogram:
             attack_histogram(det, AttackScenario(flux_full=80.0, env=env),
                              "quarter")
 
+    def test_rejects_zero_gates(self, det, env):
+        with pytest.raises(ValueError, match="window"):
+            attack_histogram(det, AttackScenario(flux_full=80.0, env=env),
+                             "full", gates=0)
+
 
 class TestGate2VsDelay:
     def grid(self, det):
@@ -254,7 +259,7 @@ def grids():
 
 @pytest.fixture(scope="module")
 def matrix(det, env, grids):
-    return contour_flux_delay(det, env, *grids)
+    return contour_flux_delay(det, *grids)
 
 
 class TestContour:
@@ -300,7 +305,7 @@ class TestContour:
 
     def test_rejects_nonpositive_flux(self, det, env):
         with pytest.raises(ValueError):
-            contour_flux_delay(det, env, [0.0, 10.0], [0.0, 50.0])
+            contour_flux_delay(det, [0.0, 10.0], [0.0, 50.0])
 
 
 class TestBinaryEntropy:
@@ -365,3 +370,9 @@ class TestPartialAttack:
     def test_rejects_out_of_range_qber(self):
         with pytest.raises(ValueError):
             partial_attack_rates(0.6, 0.02, [0.5])
+
+    @pytest.mark.parametrize("fractions", [[-1.0, 2.0], [0.5, 1.01],
+                                           [math.nan]])
+    def test_rejects_fraction_outside_unit_interval(self, fractions):
+        with pytest.raises(ValueError, match="fractions"):
+            partial_attack_rates(0.1, 0.02, fractions)

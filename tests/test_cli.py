@@ -268,6 +268,74 @@ class TestErrorPaths:
         assert key in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("key, value", [
+        ("feasibility.qber_threshold", "nan"),
+        ("detector.dark_count_prob", "nan"),
+        ("traps.multiplication.retention_strength", "inf"),
+        ("sweep.delay_max", "inf"),
+        ("scenario.attack_delay", "nan"),
+        ("partial_attack.q_baseline", "-inf"),
+        ("feasibility.temperatures", "293.15, nan"),
+    ])
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys, key,
+                                              value):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--set", f"{key}={value}",
+                     "sweep"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        ("5e9", "1e7", "50"), ("0", "5e9", "50"), ("-1e7", "5e9", "50"),
+        ("1e9", "1e9", "50")])
+    def test_bad_frequency_range_is_config_error(self, tmp_path, capsys, lo,
+                                                 hi, points):
+        out = tmp_path / "out"
+        code = main(["--out", str(out), "--set", f"feasibility.freq_min={lo}",
+                     "--set", f"feasibility.freq_max={hi}",
+                     "--set", f"feasibility.freq_points={points}",
+                     "feasibility"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "feasibility.freq_min" in err and "feasibility.freq_max" in err
+        assert not out.exists()
+
+    def test_single_frequency_range_accepted(self, tmp_path):
+        assert main(["--out", str(tmp_path),
+                     "--set", "feasibility.freq_min=1e9",
+                     "--set", "feasibility.freq_max=1e9",
+                     "--set", "feasibility.freq_points=1",
+                     "--set", "feasibility.temperatures=293.15",
+                     "feasibility"]) == 0
+        rows = (tmp_path / "feasibility_293.15K.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("1000000000,")
+
+    @pytest.mark.parametrize("section, key", [
+        ("environment", "excess_bias_fraction"),
+        ("traps.interface", "capture_per_avalanche_charge"),
+        ("traps.interface", "retention_strength"),
+        ("traps.multiplication", "capture_fraction_photo"),
+    ])
+    @pytest.mark.parametrize("via", ["file", "set"])
+    def test_removed_inert_key_is_config_error(self, tmp_path, capsys,
+                                               section, key, via):
+        if via == "set":
+            args = ["--set", f"{section}.{key}=0"]
+        else:
+            path = tmp_path / "run.ini"
+            path.write_text(default_config_path().read_text().replace(
+                f"[{section}]\n", f"[{section}]\n{key} = 0\n"))
+            args = ["--config", str(path)]
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *args, "sweep"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert key in err and f"[{section}]" in err
+        assert not out.exists()
+
     def test_largest_seed_accepted(self, tmp_path):
         assert main(["--out", str(tmp_path), "--seed", str(2 ** 64 - 1),
                      "--trials", "1000", "histogram"]) == 0

@@ -44,7 +44,6 @@ retention_strength = 1.0
 
 [environment]
 temperature = 293.15
-excess_bias_fraction = 0.5
 """
 
 
@@ -361,7 +360,7 @@ def shipped_outputs(default_cfg):
             (attack_histogram(det, attack, "half", 12),)],
         "sweep": [(sweep,)],
         "contour": [(fluxes, delays,
-                     contour_flux_delay(det, env, fluxes, delays))],
+                     contour_flux_delay(det, fluxes, delays))],
         "gate2": [(gate2_vs_delay(det, sc["flux_full"],
                                   np.linspace(95.0, 960.0, 200), env),)],
         "partial_attack": [(partial_attack_rates(min(q_dd, 0.5), 0.02,

@@ -361,6 +361,15 @@ class TestProfiles:
             TrapSpecies(TrapKind.INTERFACE, 0.04, 100.0,
                         capture_per_avalanche_charge=0.1)
 
+    @pytest.mark.parametrize("kind, unread", [
+        (TrapKind.INTERFACE, {"retention_strength": 1.0}),
+        (TrapKind.MULTIPLICATION, {"capture_fraction_photo": 0.1}),
+    ])
+    def test_species_rejects_capture_parameter_its_kind_never_reads(
+            self, kind, unread):
+        with pytest.raises(ValueError, match=next(iter(unread))):
+            TrapSpecies(kind, 0.04, 100.0, **unread)
+
 
 class TestDefaultCalibration:
     def test_interface_lifetime_subnanosecond_at_room_temperature(self, det):

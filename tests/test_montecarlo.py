@@ -65,6 +65,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="seed"):
             simulate_pulse_train(det, pulses(), env, trials=10, seed=seed)
 
+    @pytest.mark.parametrize("gate, window", [(4, 4), (5, 4), (-1, 4)])
+    def test_pulse_gate_outside_window_rejected(self, det, env, gate, window):
+        train = [(gate, PulseSpec(0.1, 0.0))]
+        with pytest.raises(ValueError, match="window"):
+            analytic_gate_probabilities(det, train, env, window)
+        with pytest.raises(ValueError, match="window"):
+            simulate_pulse_train(det, train, env, trials=10, seed=1,
+                                 window=window)
+
     def test_negative_dead_time_rejected(self, det, env):
         with pytest.raises(ValueError):
             simulate_pulse_train(det, pulses(), env, trials=10, seed=1,

@@ -77,8 +77,7 @@ def default_grid(default_cfg):
     fluxes = np.linspace(sec["flux_min"], sec["flux_max"], sec["flux_points"])
     delays = np.linspace(sec["delay_min"], sec["delay_max"],
                          sec["delay_points"])
-    return contour_flux_delay(default_cfg.detector, default_cfg.environment,
-                              fluxes, delays)
+    return contour_flux_delay(default_cfg.detector, fluxes, delays)
 
 
 def _with_nan(matrix):
@@ -116,3 +115,38 @@ def test_heatmap_round_trip(tmp_path, default_grid, make, iso):
     assert lines == set(expected)
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
+
+
+_TICK = re.compile(r'<text x="([\d.]+)" y="([\d.]+)" text-anchor="(middle|end)" '
+                   r'font-family="sans-serif" font-size="10">([^<]+)</text>')
+
+
+def test_heatmap_ticks_label_grid_values_at_cell_centres(tmp_path,
+                                                         default_cfg,
+                                                         default_grid):
+    sec = default_cfg.values["contour"]
+    fluxes = np.linspace(sec["flux_min"], sec["flux_max"], sec["flux_points"])
+    delays = np.linspace(sec["delay_min"], sec["delay_max"],
+                         sec["delay_points"])
+    path = tmp_path / "contour.svg"
+    svg.heatmap(path, delays, fluxes, default_grid, "t", "delay (ps)",
+                "flux (photons/pulse)", iso=0.11)
+    ticks = _TICK.findall(path.read_text())
+    x_labels = [(float(x), text) for x, _, anchor, text in ticks
+                if anchor == "middle"]
+    y_labels = [(float(y), text) for _, y, anchor, text in ticks
+                if anchor == "end"]
+    assert [t for _, t in x_labels] == ["0", "50", "100", "150", "200"]
+    assert [t for _, t in y_labels] == ["2", "26", "50", "76", "100"]
+    cw = (_W - _MR - _ML) / len(delays)
+    ch = (_H - _MB - _MT) / len(fluxes)
+    assert x_labels[0][0] == pytest.approx(_ML + cw / 2, abs=0.1)
+    assert x_labels[-1][0] == pytest.approx(_W - _MR - cw / 2, abs=0.1)
+    assert y_labels[0][0] - 3 == pytest.approx(_H - _MB - ch / 2, abs=0.1)
+    assert y_labels[-1][0] - 3 == pytest.approx(_MT + ch / 2, abs=0.1)
+
+
+def test_heatmap_rejects_axes_that_do_not_match_the_matrix(tmp_path):
+    with pytest.raises(ValueError, match="xs and ys"):
+        svg.heatmap(tmp_path / "h.svg", np.arange(4), np.arange(3),
+                    np.zeros((3, 5)), "t", "x", "y")
