@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,8 +27,6 @@ from .feasibility import feasibility_band, noise_qber, suitable_interval
 from .montecarlo import simulate_pulse_train
 from .detector import K_BOLTZMANN_EV, PulseSpec
 
-OUTDIR_ENV = "AFTERGATE_OUTDIR"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; usage errors are
@@ -44,9 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, default=None,
                         help="run configuration (defaults to the packaged "
                              "calibration)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help=f"output directory (default: ${OUTDIR_ENV} "
-                             "or the config's run.output_dir)")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT",
+                        default=None, help="override run.output_dir")
     parser.add_argument("--seed", type=int, default=None,
                         help="override run.seed")
     parser.add_argument("--trials", type=int, default=None,
@@ -66,21 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _outdir(args, cfg: RunConfig) -> Path:
-    if args.out is not None:
-        out = args.out
-    elif os.environ.get(OUTDIR_ENV):
-        out = Path(os.environ[OUTDIR_ENV])
-    else:
-        out = Path(cfg.values["run"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _scenario(cfg: RunConfig) -> AttackScenario:
     sec = cfg.values["scenario"]
-    return AttackScenario(flux_full=sec["flux_full"],
-                          flux_half=sec["flux_half"], env=cfg.environment)
+    return AttackScenario(flux_full=sec["flux_full"], env=cfg.environment)
 
 
 def _sweep_points(cfg: RunConfig):
@@ -115,10 +99,7 @@ def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
 
 def cmd_arrhenius(cfg: RunConfig, args, out: Path) -> None:
     points = io.read_arrhenius_csv(args.input)
-    try:
-        fit = arrhenius_fit(points)
-    except ValueError as exc:
-        raise LifetimeExtractionError(str(exc)) from exc
+    fit = arrhenius_fit(points)
     io.write_json(out / "arrhenius_fit.json", {
         "activation_energy_ev": fit.activation_energy,
         "tau0_ps": fit.lifetime_prefactor,
@@ -163,9 +144,7 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_attack_hist(cfg: RunConfig, args, out: Path) -> None:
-    delay = cfg.values["scenario"]["attack_delay"]
-    if delay is None:
-        delay, _ = _dip_delay(_sweep_points(cfg))
+    delay, _ = _dip_delay(_sweep_points(cfg))
     scenario = replace(_scenario(cfg), delay=delay)
     gates = cfg.values["histogram"]["gates"]
     hists = {}
@@ -188,13 +167,9 @@ def cmd_attack_hist(cfg: RunConfig, args, out: Path) -> None:
 def cmd_gate2(cfg: RunConfig, args, out: Path) -> None:
     sec = cfg.values["gate2"]
     det = cfg.detector
-    lo = sec["delay_min"]
-    hi = sec["delay_max"]
-    if lo is None:
-        lo = det.trigger_flat_fraction * det.timing.gate_width
-    if hi is None:
-        hi = 0.96 * det.timing.gate_period
-    delays = np.linspace(lo, hi, sec["delay_points"])
+    # from the end of the trigger's flat top into the inter-gate gap
+    delays = np.linspace(det.trigger_flat_fraction * det.timing.gate_width,
+                         0.96 * det.timing.gate_period, sec["delay_points"])
     flux = cfg.values["scenario"]["flux_full"]
     points = gate2_vs_delay(det, flux, delays, cfg.environment)
     io.write_gate2_csv(out / "gate2.csv", points)
@@ -229,16 +204,11 @@ def cmd_contour(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
-    sec = cfg.values["partial_attack"]
-    q_attack = sec["q_attack"]
-    q_baseline = sec["q_baseline"]
-    if q_attack is None:
-        q_attack = float(np.nanmin(_sweep_points(cfg).q_with_dd))
-    if q_baseline is None:
-        q_baseline = noise_qber(cfg.detector, cfg.environment,
-                                cfg.values["scenario"]["signal_flux"])
-    q_attack = min(q_attack, 0.5)
-    fractions = np.linspace(0.0, 1.0, sec["fraction_points"])
+    q_attack = min(float(np.nanmin(_sweep_points(cfg).q_with_dd)), 0.5)
+    q_baseline = noise_qber(cfg.detector, cfg.environment,
+                            cfg.values["scenario"]["signal_flux"])
+    fractions = np.linspace(0.0, 1.0,
+                            cfg.values["partial_attack"]["fraction_points"])
     rows = partial_attack_rates(q_attack, q_baseline, fractions)
     io.write_partial_attack_csv(out / "partial_attack.csv", rows)
     svg.line_chart(out / "partial_attack.svg", fractions,
@@ -303,10 +273,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         overrides = args.overrides + [
             f"run.{key}={getattr(args, key)}"
-            for key in ("seed", "trials", "workers")
+            for key in ("seed", "trials", "workers", "output_dir")
             if getattr(args, key) is not None]
         cfg = load_config(args.config, overrides=overrides)
-        out = _outdir(args, cfg)
+        out = Path(cfg.values["run"]["output_dir"])
+        out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command][0](cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -29,8 +29,18 @@ def _float(raw: str) -> float:
     return x
 
 
-def _auto_or_float(raw: str):
-    return None if raw.strip().lower() == "auto" else _float(raw)
+def _positive(raw: str) -> float:
+    x = _float(raw)
+    if x <= 0:
+        raise ValueError("must be > 0")
+    return x
+
+
+def _nonnegative(raw: str) -> float:
+    x = _float(raw)
+    if x < 0:
+        raise ValueError("must be >= 0")
+    return x
 
 
 def _count(raw: str) -> int:
@@ -48,7 +58,7 @@ def _seed(raw: str) -> int:
 
 
 def _temperatures(raw: str) -> list[float]:
-    temps = [_float(tok) for tok in raw.replace(",", " ").split()]
+    temps = [_positive(tok) for tok in raw.replace(",", " ").split()]
     if not temps or len({f"{t:g}" for t in temps}) < len(temps):
         raise ValueError("needs at least one value, each distinct at 6 "
                          "significant digits, since they name output files")
@@ -74,11 +84,9 @@ _SCHEMA = {
         TrapSpecies, skip=CAPTURE_PARAMS[TrapKind.INTERFACE]),
     "environment": _model_keys(Environment),
     "scenario": {
-        "flux_full": _float,
-        "flux_half": _auto_or_float,
-        "signal_flux": _float,
-        "attack_flux": _float,
-        "attack_delay": _auto_or_float,
+        "flux_full": _positive,
+        "signal_flux": _positive,
+        "attack_flux": _positive,
     },
     "sweep": {
         "delay_min": _float,
@@ -88,16 +96,14 @@ _SCHEMA = {
     "histogram": {
         "gates": _count,
         "pulse_delay": _float,
-        "dead_time": _float,
+        "dead_time": _nonnegative,
     },
     "gate2": {
-        "delay_min": _auto_or_float,
-        "delay_max": _auto_or_float,
         "delay_points": _count,
     },
     "contour": {
-        "flux_min": _float,
-        "flux_max": _float,
+        "flux_min": _positive,
+        "flux_max": _positive,
         "flux_points": _count,
         "delay_min": _float,
         "delay_max": _float,
@@ -111,8 +117,6 @@ _SCHEMA = {
         "qber_threshold": _float,
     },
     "partial_attack": {
-        "q_attack": _auto_or_float,
-        "q_baseline": _auto_or_float,
         "fraction_points": _count,
     },
     "run": {

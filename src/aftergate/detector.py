@@ -247,6 +247,12 @@ def _delays(det: DetectorParams, delays) -> np.ndarray:
     return d
 
 
+def _check_flux(mean_flux) -> None:
+    f = np.asarray(mean_flux, dtype=float)
+    if not np.all((f >= 0.0) & (f < np.inf)):
+        raise ValueError("mean flux must be finite and >= 0")
+
+
 def trap_lifetime(species: TrapSpecies, env: Environment) -> float:
     """Arrhenius release lifetime in ps at the environment temperature."""
     return species.lifetime_prefactor * math.exp(
@@ -309,12 +315,11 @@ def click_probability_array(det: DetectorParams, mean_flux, delays) -> np.ndarra
 
     mean_flux may be an array that broadcasts against delays, e.g. a column
     of fluxes for a (flux, delay) grid. Every delay must lie within one
-    gate period.
+    gate period, and the flux must be finite and >= 0.
     """
     d = _delays(det, delays)
+    _check_flux(mean_flux)
     lam = det.mean_avalanches(mean_flux, d)
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("non-finite avalanche rate")
     n_th = det.threshold_count(d)
     p_light = poisson_tail(n_th, lam)
     return 1.0 - (1.0 - p_light) * (1.0 - det.dark_count_prob)
@@ -340,9 +345,11 @@ def trap_loading(det: DetectorParams, mean_flux, delays):
     normalized avalanche charge times the per-charge capture coefficient and
     an end-of-gate retention factor (more charge stays trapped when the gate
     closes before the avalanche fully develops). Both scale linearly in flux.
-    Every delay must lie within one gate period.
+    Every delay must lie within one gate period, and the flux must be
+    finite and >= 0.
     """
     d = _delays(det, delays)
+    _check_flux(mean_flux)
     carriers = mean_flux * det.detection_efficiency
     pop_if = (carriers * det.interface_trap.capture_fraction_photo
               * (1.0 - det.trigger_probability(d)))

@@ -205,20 +205,11 @@ class TestErrorPaths:
 
     def test_gate2_delay_outside_period_is_numerical_failure(self, tmp_path,
                                                              capsys):
-        code = run(tmp_path, "--set", "gate2.delay_max=5000", "gate2")
+        code = run(tmp_path, "--set", "sweep.delay_max=5000", "sweep")
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "delay grid" in err
-        assert not (tmp_path / "gate2.csv").exists()
-
-    def test_attack_delay_outside_period_is_numerical_failure(self, tmp_path,
-                                                              capsys):
-        code = run(tmp_path, "--set", "scenario.attack_delay=1500",
-                   "attack-hist")
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "outside" in err
-        assert not (tmp_path / "attack_hist_full.csv").exists()
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_empty_feasibility_temperatures_is_config_error(self, tmp_path,
                                                             capsys):
@@ -258,6 +249,20 @@ class TestErrorPaths:
         ("run.trials", ["--trials", "-1", "histogram"]),
         ("run.seed", ["--seed", "-5", "histogram"]),
         ("run.seed", ["--seed", str(2 ** 64), "histogram"]),
+        # fluxes, temperatures and grid fluxes must be > 0, dead time >= 0
+        ("scenario.flux_full", ["--set", "scenario.flux_full=-5", "gate2"]),
+        ("scenario.signal_flux",
+         ["--set", "scenario.signal_flux=-1", "partial-attack"]),
+        ("scenario.attack_flux",
+         ["--set", "scenario.attack_flux=-1", "feasibility"]),
+        ("contour.flux_min", ["--set", "contour.flux_min=0", "contour"]),
+        ("contour.flux_max", ["--set", "contour.flux_max=-2", "contour"]),
+        ("feasibility.temperatures",
+         ["--set", "feasibility.temperatures=-5", "feasibility"]),
+        ("feasibility.temperatures",
+         ["--set", "feasibility.temperatures=293.15, 0", "feasibility"]),
+        ("histogram.dead_time",
+         ["--set", "histogram.dead_time=-1", "histogram"]),
     ])
     def test_count_and_seed_out_of_range_is_config_error(self, tmp_path,
                                                          capsys, key, argv):
@@ -273,8 +278,6 @@ class TestErrorPaths:
         ("detector.dark_count_prob", "nan"),
         ("traps.multiplication.retention_strength", "inf"),
         ("sweep.delay_max", "inf"),
-        ("scenario.attack_delay", "nan"),
-        ("partial_attack.q_baseline", "-inf"),
         ("feasibility.temperatures", "293.15, nan"),
     ])
     def test_non_finite_float_is_config_error(self, tmp_path, capsys, key,
@@ -318,6 +321,13 @@ class TestErrorPaths:
         ("traps.interface", "capture_per_avalanche_charge"),
         ("traps.interface", "retention_strength"),
         ("traps.multiplication", "capture_fraction_photo"),
+        # derived values: each command computes them from the model
+        ("scenario", "flux_half"),
+        ("scenario", "attack_delay"),
+        ("gate2", "delay_min"),
+        ("gate2", "delay_max"),
+        ("partial_attack", "q_attack"),
+        ("partial_attack", "q_baseline"),
     ])
     @pytest.mark.parametrize("via", ["file", "set"])
     def test_removed_inert_key_is_config_error(self, tmp_path, capsys,
@@ -356,11 +366,17 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"numerical failure: {expected}\n"
         assert not (tmp_path / "histogram.csv").exists()
 
-    def test_outdir_env_variable(self, tmp_path, monkeypatch):
-        import aftergate.cli as cli
-        monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "envout"))
-        assert main(["--trials", "2000", *FAST, "histogram"]) == 0
-        assert (tmp_path / "envout" / "histogram.csv").exists()
+    def test_set_run_output_dir(self, tmp_path):
+        assert main(["--set", f"run.output_dir={tmp_path / 'set'}",
+                     "--trials", "2000", *FAST, "histogram"]) == 0
+        assert (tmp_path / "set" / "histogram.csv").exists()
+
+    def test_out_flag_beats_set_run_output_dir(self, tmp_path):
+        assert main(["--out", str(tmp_path / "a"),
+                     "--set", f"run.output_dir={tmp_path / 'b'}",
+                     "--trials", "2000", *FAST, "histogram"]) == 0
+        assert (tmp_path / "a" / "histogram.csv").exists()
+        assert not (tmp_path / "b").exists()
 
 
 def test_import_does_not_load_scipy():

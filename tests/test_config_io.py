@@ -60,10 +60,6 @@ class TestConfig:
         assert {s: set(parser[s]) for s in parser.sections()} == \
             {s: set(keys) for s, keys in _SCHEMA.items()}
 
-    def test_flux_half_auto_accepted(self):
-        cfg = load_config(overrides=["scenario.flux_half=auto"])
-        assert cfg.values["scenario"]["flux_half"] is None
-
     def test_minimal_config(self, tmp_path):
         path = tmp_path / "run.ini"
         path.write_text(MINIMAL)

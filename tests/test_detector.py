@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
                        click_probability, survival_fraction, trap_lifetime,
                        trap_loading)
+from aftergate.attack import gate2_vs_delay
 from aftergate.detector import (DetectorParams, GateTiming,
                                 click_probability_array,
                                 delayed_click_probability_arrays,
@@ -329,6 +330,22 @@ class TestDelayedClickProbability:
 def test_kernels_reject_delay_outside_period(det, env, kernel, delays):
     with pytest.raises(ValueError, match=r"within \[0, 1000\) ps"):
         kernel(det, env, delays)
+
+
+@pytest.mark.parametrize("flux", [-5.0, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+@pytest.mark.parametrize("kernel", [
+    lambda det, env, f: click_probability_array(det, f, [100.0, 120.0]),
+    lambda det, env, f: trap_loading(det, f, [100.0, 120.0]),
+    lambda det, env, f: delayed_release_mean(det, f, [100.0, 120.0], env),
+    lambda det, env, f: delayed_click_probability_arrays(det, f,
+                                                         [100.0, 120.0], env),
+    lambda det, env, f: gate2_vs_delay(det, f, [100.0, 120.0], env),
+], ids=["click_probability_array", "trap_loading", "delayed_release_mean",
+        "delayed_click_probability_arrays", "gate2_vs_delay"])
+def test_kernels_reject_bad_flux(det, env, kernel, flux):
+    with pytest.raises(ValueError, match="mean flux must be finite and >= 0"):
+        kernel(det, env, flux)
 
 
 class TestProfiles:
