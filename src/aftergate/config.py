@@ -233,4 +233,9 @@ def load_config(path: str | Path | None = None,
         if isinstance(exc, KeyError):
             raise ConfigError(f"missing config key: {exc}") from exc
         raise ConfigError(str(exc)) from exc
+    delay = values["histogram"]["pulse_delay"]
+    if not timing.contains(delay):
+        raise ConfigError(f"bad value for histogram.pulse_delay: {delay:g} "
+                          f"(must lie in [0, {timing.gate_period:g}) ps, one "
+                          f"gate period)")
     return RunConfig(detector=detector, environment=environment, values=values)

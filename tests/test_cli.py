@@ -273,6 +273,23 @@ class TestErrorPaths:
         assert key in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["--set", "histogram.pulse_delay=5000"],
+        ["--set", "histogram.pulse_delay=-1"],
+        ["--set", "histogram.pulse_delay=1000"],
+        # 2 GHz gating: the period is 500 ps
+        ["--set", "detector.gating_frequency=2e9",
+         "--set", "histogram.pulse_delay=600"],
+    ])
+    def test_pulse_delay_outside_period_is_config_error(self, tmp_path,
+                                                        capsys, argv):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv, "histogram"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "histogram.pulse_delay" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("feasibility.qber_threshold", "nan"),
         ("detector.dark_count_prob", "nan"),

@@ -1,15 +1,49 @@
 """Monte Carlo engine: determinism, analytic agreement, dead time."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aftergate import PulseSpec, simulate_pulse_train
+from aftergate import PulseSpec, montecarlo, simulate_pulse_train
+from aftergate.characterization import dead_time_counts
+from aftergate.detector import GateTiming
 from aftergate.io import write_histogram_csv
 from aftergate.montecarlo import _CHUNK, analytic_gate_probabilities
 
 
 def pulses(mu=0.1, delay=0.0):
     return [(0, PulseSpec(mean_flux=mu, delay=delay))]
+
+
+def next_eligible(gate, window, dead_time, period):
+    """First gate after an accepted click at `gate` that the dead time lets
+    through, compared as characterization.dead_time_counts does."""
+    nxt = gate + 1
+    while nxt < window and nxt * period - gate * period < dead_time:
+        nxt += 1
+    return nxt
+
+
+def expected_accepted_counts(p, dead_time, period):
+    """Expected accepted clicks per gate and trial, for independent gates
+    clicking with probabilities p behind a non-paralyzable dead time.
+
+    reach[s] is the probability that a trial is eligible again from gate s
+    (a trial starts eligible at gate 0). From s the next accepted click is
+    the first click at j >= s, with probability
+    p_j * prod_{s<=i<j}(1 - p_i); it makes the trial eligible again at the
+    first gate the dead time lets through."""
+    window = p.size
+    reach = np.zeros(window + 1)
+    reach[0] = 1.0
+    counts = np.zeros(window)
+    for s in range(window):
+        survive = np.concatenate([[1.0], np.cumprod(1.0 - p[s:])[:-1]])
+        counts[s:] += reach[s] * p[s:] * survive
+        # counts[s] is complete now: every start <= s has been added
+        reach[next_eligible(s, window, dead_time, period)] += counts[s]
+    return counts
 
 
 class TestDeterminism:
@@ -40,7 +74,6 @@ class TestDeterminism:
 
 class TestEdgeCases:
     def test_dark_free_zero_flux_is_all_zero(self, det, env):
-        from dataclasses import replace
         quiet = replace(det, dark_count_prob=0.0, afterpulse_prob=0.0)
         h = simulate_pulse_train(quiet, pulses(mu=0.0), env, trials=5000,
                                  seed=3, window=6)
@@ -81,20 +114,34 @@ class TestEdgeCases:
 
 
 class TestDeadTime:
-    def test_zero_dead_time_equals_unfiltered_counts(self, det, env):
-        # the documented stream: chunk i draws one uniform per (trial, gate)
-        # cell from Philox keyed by (seed, i) against the oracle's vector
+    @pytest.mark.parametrize("dead_time", [0.0, 2500.0])
+    def test_stream_is_documented_click_chain(self, det, env, dead_time):
+        # the documented stream: chunk i draws from Philox keyed by (seed, i);
+        # each step draws one uniform u per still-active trial, in trial
+        # order, and the trial's next accepted click is the first gate
+        # j >= start whose survival prod_{start<=g<=j}(1 - p_g) is below 1 - u
         train = pulses(mu=40.0, delay=150.0)
         trials, window, seed = 20000, 6, 11
         p = analytic_gate_probabilities(det, train, env, window)
         expected = np.zeros(window, dtype=np.int64)
-        for i, start in enumerate(range(0, trials, _CHUNK)):
+        for i, first in enumerate(range(0, trials, _CHUNK)):
             rng = np.random.Generator(np.random.Philox(
                 key=np.array([seed, i], dtype=np.uint64)))
-            n = min(_CHUNK, trials - start)
-            expected += (rng.random((n, window)) < p).sum(axis=0)
+            starts = [0] * min(_CHUNK, trials - first)
+            while starts:
+                following = []
+                for s, u in zip(starts, rng.random(len(starts))):
+                    hits = np.flatnonzero(np.cumprod(1.0 - p[s:]) < 1.0 - u)
+                    if hits.size:
+                        gate = s + int(hits[0])
+                        expected[gate] += 1
+                        nxt = next_eligible(gate, window, dead_time,
+                                            det.timing.gate_period)
+                        if nxt < window:
+                            following.append(nxt)
+                starts = following
         h = simulate_pulse_train(det, train, env, trials=trials, seed=seed,
-                                 window=window, dead_time=0.0)
+                                 window=window, dead_time=dead_time)
         assert np.array_equal(h.gate_counts, expected)
 
     def test_histogram_bytes_identical_across_workers(self, det, env,
@@ -124,6 +171,81 @@ class TestDeadTime:
         freq = h.gate_counts / trials
         se = np.sqrt(first * (1 - first) / trials)
         assert np.all(np.abs(freq - first) <= 4 * se + 1e-12)
+
+
+TRAINS = {
+    "single": [(0, PulseSpec(40.0, 150.0))],
+    "multi": [(0, PulseSpec(40.0, 150.0)), (3, PulseSpec(0.5, 10.0)),
+              (5, PulseSpec(80.0, 160.0))],
+}
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("dead_time", [0.0, 2500.0, 12000.0])
+    @pytest.mark.parametrize("train", sorted(TRAINS))
+    def test_counts_follow_dead_time_law(self, det, env, train, dead_time):
+        # 12000 ps is the window span: only each trial's first click counts
+        trials, window = 100000, 12
+        h = simulate_pulse_train(det, TRAINS[train], env, trials=trials,
+                                 seed=404, window=window, workers=2,
+                                 dead_time=dead_time)
+        p = analytic_gate_probabilities(det, TRAINS[train], env, window)
+        expected = expected_accepted_counts(p, dead_time,
+                                            det.timing.gate_period)
+        freq = h.gate_counts / trials
+        se = np.sqrt(expected * (1 - expected) / trials)
+        assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
+
+    @pytest.mark.parametrize("dead_time", [0.0, 2500.0])
+    def test_certain_and_impossible_gates(self, det, env, monkeypatch,
+                                          dead_time):
+        # gates 0 and 3 always click, gates 2 and 5 never do; with a
+        # 2500 ps dead time the click at gate 0 keeps gates 1 and 2 dark
+        p = np.array([1.0, 0.5, 0.0, 1.0, 0.3, 0.0])
+        monkeypatch.setattr(montecarlo, "analytic_gate_probabilities",
+                            lambda *args: p)
+        trials = 20000
+        h = simulate_pulse_train(det, pulses(), env, trials=trials, seed=8,
+                                 window=p.size, dead_time=dead_time)
+        counts = h.gate_counts
+        assert counts[0] == counts[3] == trials
+        assert counts[2] == counts[5] == 0
+        if dead_time:
+            assert counts[1] == counts[4] == 0
+        else:
+            assert 0 < counts[1] < trials and 0 < counts[4] < trials
+
+    def test_certain_gate_counts_every_eligible_trial(self, det, env,
+                                                      monkeypatch):
+        # with a 1500 ps dead time only an accepted click at gate 1 keeps
+        # gate 2 inside the dead time; a click at gate 0 has ended by then
+        p = np.array([0.3, 0.4, 1.0, 0.0, 0.2])
+        monkeypatch.setattr(montecarlo, "analytic_gate_probabilities",
+                            lambda *args: p)
+        trials = 20000
+        h = simulate_pulse_train(det, pulses(), env, trials=trials, seed=9,
+                                 window=p.size, dead_time=1500.0)
+        counts = h.gate_counts
+        assert 0 < counts[1] and counts[2] == trials - counts[1]
+        assert counts[3] == 0
+
+    @pytest.mark.parametrize("k, j", [(1, 59), (2, 59), (4, 59), (7, 3),
+                                      (3, 0)])
+    def test_dead_time_edges_match_click_matrix_filter(self, det, env,
+                                                       monkeypatch, k, j):
+        # at 3 GHz, i*T - l*T against a dead time of (j+k)*T - j*T rounds
+        # either way for some gates l; with every gate certain, each trial
+        # keeps the clicks dead_time_counts keeps of an all-click matrix
+        fast = replace(det, timing=GateTiming(3e9, det.timing.gate_width))
+        period, window, trials = fast.timing.gate_period, 80, 3
+        dead_time = (j + k) * period - j * period
+        monkeypatch.setattr(montecarlo, "analytic_gate_probabilities",
+                            lambda *args: np.ones(window))
+        h = simulate_pulse_train(fast, pulses(), env, trials=trials, seed=1,
+                                 window=window, dead_time=dead_time)
+        clicked = np.ones((trials, window), dtype=bool)
+        assert np.array_equal(h.gate_counts,
+                              dead_time_counts(clicked, dead_time, period))
 
 
 class TestAnalyticAgreement:

@@ -1,6 +1,7 @@
 """The demos and the benchmark tracer against the current package."""
 
 import importlib
+import math
 import os
 import shutil
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import aftergate
+from aftergate.cli import main
+from aftergate.montecarlo import _CHUNK
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(aftergate.__file__).resolve().parents[1])
@@ -32,13 +35,17 @@ def test_demo_runs_cleanly(tmp_path, demo):
     assert proc.stderr == ""
 
 
-def _tracer_targets():
-    """bench/tracer.py's TARGETS, read without importing the file (so no
+def _tracer():
+    """bench/tracer.py's namespace, read without importing the file (so no
     bytecode is written under bench/)."""
     path = ROOT / "bench" / "tracer.py"
     namespace = {"__name__": "tracer"}
     exec(compile(path.read_text(), str(path), "exec"), namespace)
-    return namespace["TARGETS"]
+    return namespace
+
+
+def _tracer_targets():
+    return _tracer()["TARGETS"]
 
 
 def test_tracer_targets_resolve():
@@ -46,3 +53,21 @@ def test_tracer_targets_resolve():
     missing = [f"{module}.{attr}" for module, attr, *_ in _tracer_targets()
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+def test_traced_chunks_cover_every_trial(tmp_path, monkeypatch):
+    # the montecarlo.chunk spans are where the benchmark reads the sampler's
+    # cost, so one span per chunk must cover every trial exactly once
+    tracer = _tracer()
+    for module, attr, *_ in tracer["TARGETS"]:
+        module = importlib.import_module(module)
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    recorder = tracer["Recorder"]()
+    tracer["install"](recorder)
+    trials = 2 * _CHUNK + 1
+    assert main(["--out", str(tmp_path), "--trials", str(trials),
+                 "--workers", "2", "histogram"]) == 0
+    chunks = [counts["trials"] for name, *_, counts in recorder.spans
+              if name == "montecarlo.run_chunk"]
+    assert sum(chunks) == trials
+    assert len(chunks) == math.ceil(trials / _CHUNK)
