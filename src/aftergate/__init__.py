@@ -10,7 +10,6 @@ from .detector import (
     TrapKind,
     TrapSpecies,
     click_probability,
-    survival_fraction,
     trap_lifetime,
     trap_loading,
 )

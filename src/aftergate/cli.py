@@ -277,7 +277,6 @@ def main(argv=None) -> int:
             if getattr(args, key) is not None]
         cfg = load_config(args.config, overrides=overrides)
         out = Path(cfg.values["run"]["output_dir"])
-        out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command][0](cfg, args, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

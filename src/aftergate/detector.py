@@ -92,18 +92,21 @@ class TrapSpecies:
 
 @dataclass(frozen=True)
 class GateTiming:
-    """Periodic gating clock. The period is derived from the frequency."""
+    """Periodic gating clock. The period is derived from the frequency;
+    frequency and width may be arrays, one clock per element."""
 
     gating_frequency: float  # Hz
     gate_width: float  # ps
 
     def __post_init__(self):
-        if self.gating_frequency <= 0:
+        if np.any(self.gating_frequency <= 0):
             raise ValueError("gating_frequency must be > 0")
-        if not (0.0 < self.gate_width < self.gate_period):
+        period, width = np.broadcast_arrays(self.gate_period, self.gate_width)
+        bad = ~((0.0 < width) & (width < period))
+        if bad.any():
             raise ValueError(
-                f"gate_width must lie in (0, period={self.gate_period:.6g} ps), "
-                f"got {self.gate_width}"
+                f"gate_width must lie in (0, period={period[bad][0]:.6g} ps), "
+                f"got {width[bad][0]}"
             )
 
     @property
@@ -259,15 +262,6 @@ def trap_lifetime(species: TrapSpecies, env: Environment) -> float:
         species.activation_energy / (K_BOLTZMANN_EV * env.temperature))
 
 
-def survival_fraction(species: TrapSpecies, env: Environment, elapsed) -> float:
-    """Fraction of trapped carriers still trapped after `elapsed` ps."""
-    el = np.asarray(elapsed, dtype=float)
-    if np.any(el < 0) or not np.all(np.isfinite(el)):
-        raise ValueError("elapsed must be finite and >= 0")
-    out = np.exp(-el / trap_lifetime(species, env))
-    return float(out) if np.isscalar(elapsed) or out.ndim == 0 else out
-
-
 def poisson_tail(k, lam) -> np.ndarray:
     """P(N >= k) for N ~ Poisson(lam), elementwise over broadcast k and lam.
 
@@ -394,8 +388,8 @@ def delayed_click_probability_arrays(det: DetectorParams, mean_flux,
     return 1.0 - np.exp(-mean) * (1.0 - det.dark_count_prob)
 
 
-def afterpulse_background(det: DetectorParams, base_probabilities) -> float:
-    """Flat per-gate afterpulse background, proportional to the mean detected
-    rate and spread over afterpulse_spread_gates gates."""
-    mean_det = float(np.mean(base_probabilities))
-    return det.afterpulse_prob * mean_det / det.afterpulse_spread_gates
+def afterpulse_background(det: DetectorParams, mean_detected):
+    """Flat per-gate afterpulse background: the mean detected probability
+    per gate, which may be an array (one value per clock), times
+    afterpulse_prob and spread over afterpulse_spread_gates gates."""
+    return det.afterpulse_prob * mean_detected / det.afterpulse_spread_gates

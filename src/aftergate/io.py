@@ -8,10 +8,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from .characterization import GateHistogram, LifetimePoint
+
+
+def write_text(path, text: str) -> None:
+    """Write an output file with LF line ends, making its directory first:
+    a run that fails before its first write leaves no directory."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def _cells(column) -> list[str]:
@@ -35,8 +44,7 @@ def _cells(column) -> list[str]:
 def _write_columns(path, header, columns) -> None:
     """CSV of a header and equal-length 1-D columns, formatted by _cells."""
     rows = map(",".join, zip(*map(_cells, columns), strict=True))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *rows]) + "\n")
+    write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 def _write_table(path, header, table) -> None:
@@ -111,7 +119,5 @@ def write_json(path, payload: dict) -> None:
             return None
         return obj
 
-    with open(path, "w", newline="\n") as fh:
-        json.dump(clean(payload), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+    write_text(path, json.dumps(clean(payload), indent=2, sort_keys=True,
+                                allow_nan=False) + "\n")

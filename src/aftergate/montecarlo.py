@@ -25,7 +25,6 @@ instead of with trials x gates.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +57,7 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
         offsets = np.arange(1, window - gate, dtype=float)
         p_no_click[gate + 1:] *= np.exp(-delayed_release_mean(
             det, pulse.mean_flux, pulse.delay, env, offsets))
-    ap_bg = afterpulse_background(det, 1.0 - p_no_click)
+    ap_bg = afterpulse_background(det, float(np.mean(1.0 - p_no_click)))
     return 1.0 - p_no_click * (1.0 - ap_bg)
 
 
@@ -157,6 +156,7 @@ def simulate_pulse_train(det: DetectorParams,
         return _run_chunk(seed, i, min(_CHUNK, trials - i * _CHUNK), *tables)
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = sum(pool.map(work, range(n_chunks)))
     else:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .io import write_text
+
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 60, 20, 20, 45
 
@@ -214,5 +216,4 @@ def _write(path, parts, xlab, ylab) -> None:
     """Draw the axes, close the document and write it."""
     _axes(parts, xlab, ylab)
     parts.append("</svg>")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")

@@ -211,6 +211,18 @@ class TestErrorPaths:
         assert err.count("\n") == 1 and "delay grid" in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--set", "sweep.delay_max=5000", "sweep"],
+        ["--set", "contour.delay_max=5000", "contour"],
+    ])
+    def test_numerical_failure_leaves_no_output_directory(self, tmp_path,
+                                                          capsys, argv):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_empty_feasibility_temperatures_is_config_error(self, tmp_path,
                                                             capsys):
         code = run(tmp_path, "--set", "feasibility.temperatures=",
@@ -396,12 +408,13 @@ class TestErrorPaths:
         assert not (tmp_path / "b").exists()
 
 
-def test_import_does_not_load_scipy():
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "logging"])
+def test_import_does_not_load(module):
     src = str(Path(aftergate.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, aftergate, aftergate.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            f"if m == {module!r} or m.startswith({module + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})

@@ -13,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
-                       click_probability, survival_fraction, trap_lifetime,
-                       trap_loading)
+                       click_probability, trap_lifetime, trap_loading)
 from aftergate.attack import gate2_vs_delay
 from aftergate.detector import (DetectorParams, GateTiming,
                                 click_probability_array,
@@ -59,33 +58,6 @@ class TestTrapLifetime:
             Environment(temperature=float("nan"))
         with pytest.raises(ValueError):
             Environment(temperature=-10.0)
-
-
-class TestSurvivalFraction:
-    def test_no_decay_at_zero_elapsed(self):
-        assert survival_fraction(species(0.03, 50.0), ROOM, 0.0) == 1.0
-
-    def test_direct_exponential(self):
-        # tau = 500 ps exactly (zero activation energy), elapsed 2000 ps
-        sp = species(0.0, 500.0)
-        assert survival_fraction(sp, ROOM, 2000.0) == pytest.approx(
-            0.018315638888734, rel=1e-12)
-
-    def test_full_decay_at_large_elapsed(self):
-        assert survival_fraction(species(0.0, 500.0), ROOM, 1e9) == \
-            pytest.approx(0.0, abs=1e-300)
-
-    def test_rejects_negative_elapsed(self):
-        with pytest.raises(ValueError):
-            survival_fraction(species(0.0, 500.0), ROOM, -1.0)
-
-    @given(st.floats(min_value=0.0, max_value=1e5),
-           st.floats(min_value=1.0, max_value=1e5))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_decreasing_in_elapsed(self, elapsed, extra):
-        sp = species(0.0, 700.0)
-        assert survival_fraction(sp, ROOM, elapsed + extra) <= \
-            survival_fraction(sp, ROOM, elapsed)
 
 
 def make_detector(dark=0.0, q_disc=0.5, gain_floor=0.10, eta=0.28,
@@ -368,6 +340,19 @@ class TestProfiles:
             GateTiming(gating_frequency=1e9, gate_width=1000.0)
         with pytest.raises(ValueError):
             GateTiming(gating_frequency=1e9, gate_width=0.0)
+
+    def test_clock_array_checked_elementwise(self):
+        # a scalar clock names its own period; an array names the first
+        # clock that fails
+        with pytest.raises(ValueError, match=r"^gate_width must lie in "
+                           r"\(0, period=1000 ps\), got 1000\.0$"):
+            GateTiming(gating_frequency=1e9, gate_width=1000.0)
+        with pytest.raises(ValueError, match=r"period=500 ps\), got 600\.0$"):
+            GateTiming(gating_frequency=np.array([[1e9], [2e9], [4e9]]),
+                       gate_width=np.array([[166.0], [600.0], [600.0]]))
+        with pytest.raises(ValueError, match="gating_frequency must be > 0"):
+            GateTiming(gating_frequency=np.array([[1e9], [0.0]]),
+                       gate_width=166.0)
 
     def test_gate_period_derived_exactly(self):
         timing = GateTiming(gating_frequency=1e9, gate_width=166.0)

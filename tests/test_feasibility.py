@@ -134,6 +134,28 @@ class TestBand:
             feasibility_band([1e9, 1e8], env, det)
 
 
+class TestBroadcastBand:
+    @pytest.mark.parametrize("points", [None, 1], ids=["default", "one"])
+    def test_equals_per_frequency_calls(self, default_cfg, points):
+        # one pass over the clock array gives exactly what one scalar
+        # clock per frequency gives, at every shipped temperature
+        det = default_cfg.detector
+        sec = default_cfg.values["feasibility"]
+        sc = default_cfg.values["scenario"]
+        freqs = np.geomspace(sec["freq_min"], sec["freq_max"],
+                             points or sec["freq_points"])
+        for temp in sec["temperatures"]:
+            env = replace(default_cfg.environment, temperature=temp)
+            band = feasibility_band(freqs, env, det, sc["signal_flux"],
+                                    sc["attack_flux"])
+            dets = [rescale_detector(det, f) for f in freqs]
+            assert np.array_equal(band.q_noise, [
+                noise_qber(d, env, sc["signal_flux"]) for d in dets])
+            assert np.array_equal(band.q_attack, [
+                attack_qber_at_frequency(d, env, sc["attack_flux"])
+                for d in dets])
+
+
 class TestRescale:
     def test_duty_cycle_preserved(self, det):
         d2 = rescale_detector(det, 2e9)
