@@ -112,12 +112,11 @@ def qber_with_dd(p_f: float, p_h: float, p_dd_f: float, p_dd_h: float) -> float:
 
 
 def _delay_grid(det: DetectorParams, delays) -> np.ndarray:
-    """The delays as a float array, checked to be a finite 1-D grid within
-    one gate period; the caller's order is kept."""
-    d = np.asarray(delays, dtype=float)
-    if d.ndim != 1 or not det.timing.contains(d):
-        raise ValueError(f"delay grid must be a finite 1-D array within "
-                         f"[0, {det.timing.gate_period:g}) ps")
+    """The delays as a 1-D float array within one gate period; the
+    caller's order is kept."""
+    d = det.timing.delays(delays)
+    if d.ndim != 1:
+        raise ValueError("delay grid must be a 1-D array")
     return d
 
 

@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io, svg
-from .attack import (AttackScenario, NoSignalError, attack_histogram,
-                     contour_flux_delay, gate2_vs_delay, key_rate,
-                     partial_attack_rates, sub_threshold_region, sweep_delay)
+from .attack import (AttackScenario, attack_histogram, contour_flux_delay,
+                     gate2_vs_delay, key_rate, partial_attack_rates,
+                     sub_threshold_region, sweep_delay)
 # build_histogram is unused here; bench/tracer.py wraps it under this name.
-from .characterization import (LifetimeExtractionError, arrhenius_fit,  # noqa: F401
-                               build_histogram)
+from .characterization import arrhenius_fit, build_histogram  # noqa: F401
 from .config import ConfigError, RunConfig, load_config
 from .feasibility import feasibility_band, noise_qber, suitable_interval
 from .montecarlo import simulate_pulse_train
@@ -281,8 +280,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (LifetimeExtractionError, NoSignalError, ValueError,
-            MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"numerical failure: {str(exc) or type(exc).__name__}",
               file=sys.stderr)
         return 2

@@ -234,8 +234,9 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"missing config key: {exc}") from exc
         raise ConfigError(str(exc)) from exc
     delay = values["histogram"]["pulse_delay"]
-    if not timing.contains(delay):
+    try:
+        timing.delays(delay)
+    except ValueError as exc:
         raise ConfigError(f"bad value for histogram.pulse_delay: {delay:g} "
-                          f"(must lie in [0, {timing.gate_period:g}) ps, one "
-                          f"gate period)")
+                          f"({exc})") from exc
     return RunConfig(detector=detector, environment=environment, values=values)

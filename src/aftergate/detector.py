@@ -113,11 +113,14 @@ class GateTiming:
     def gate_period(self) -> float:
         return 1.0e12 / self.gating_frequency
 
-    def contains(self, delays) -> bool:
-        """Whether every delay lies within one period, [0, gate_period) ps;
-        NaN does not."""
+    def delays(self, delays) -> np.ndarray:
+        """The delays as a float array, checked to lie within one period,
+        [0, gate_period) ps, of every clock; NaN does not."""
         d = np.asarray(delays, dtype=float)
-        return bool(np.all((d >= 0.0) & (d < self.gate_period)))
+        if not np.all((d >= 0.0) & (d < self.gate_period)):
+            raise ValueError(f"delay grid must lie within "
+                             f"[0, {np.min(self.gate_period):g}) ps")
+        return d
 
 
 def _raised_cosine(u):
@@ -228,26 +231,12 @@ class PulseSpec:
     delay: float = 0.0  # ps
 
     def __post_init__(self):
-        if self.mean_flux < 0 or not math.isfinite(self.mean_flux):
-            raise ValueError("mean_flux must be finite and >= 0")
-
-    def validate_against(self, timing: GateTiming) -> None:
-        if not timing.contains(self.delay):
-            raise ValueError(
-                f"delay {self.delay} outside [0, {timing.gate_period}) ps")
+        _check_flux(self.mean_flux)
 
 
 # ---------------------------------------------------------------------------
 # analytic operations
 # ---------------------------------------------------------------------------
-
-
-def _delays(det: DetectorParams, delays) -> np.ndarray:
-    d = np.asarray(delays, dtype=float)
-    if not det.timing.contains(d):
-        raise ValueError(f"delays must lie within "
-                         f"[0, {det.timing.gate_period:g}) ps")
-    return d
 
 
 def _check_flux(mean_flux) -> None:
@@ -272,26 +261,28 @@ def poisson_tail(k, lam) -> np.ndarray:
     1 minus the head sum. Where lam < k it is summed directly as
     pmf(k) * (1 + lam/(k+1) + lam^2/((k+1)(k+2)) + ...), whose terms fall
     geometrically, until a term drops below 1e-17 of the sum. Both sums
-    start from e^-lam, which underflows to 0 for lam above about 745; the
-    result then stays exact only while k is far below lam.
+    start from e^-lam; where that is subnormal (lam above about 708) they
+    start from logs at pmf(k), or at pmf(k-1) with the head summed down.
     """
     k, lam = np.broadcast_arrays(np.asarray(k, dtype=float),
                                  np.asarray(lam, dtype=float))
     if np.any(lam < 0):
         raise ValueError("Poisson mean must be >= 0")
     out = np.empty(k.shape)
-    head = lam >= k
+    start = np.exp(-lam)
+    subnormal = start < np.finfo(float).tiny
+    head = (lam >= k) & ~subnormal
     k_h, lam_h = k[head], lam[head]
-    term = np.exp(-lam_h)
+    term = start[head]
     total = term
     for j in range(1, int(k_h.max(initial=1))):
         term = term * lam_h / j
         total = total + np.where(j < k_h, term, 0.0)
     out[head] = 1.0 - total
 
-    upper = ~head
+    upper = ~head & ~subnormal
     k_u, lam_u = k[upper], lam[upper]
-    pmf = np.exp(-lam_u)
+    pmf = start[upper]
     for j in range(1, int(k_u.max(initial=0)) + 1):
         pmf = np.where(j <= k_u, pmf * lam_u / j, pmf)
     term = total = pmf
@@ -301,6 +292,18 @@ def poisson_tail(k, lam) -> np.ndarray:
         total = total + term
         j += 1
     out[upper] = total
+
+    k_d, lam_d = k[subnormal], lam[subnormal]
+    down = lam_d >= k_d
+    first = np.where(down, k_d - 1.0, k_d)
+    log_fact = [math.lgamma(n + 1.0) for n in first.tolist()]
+    term = total = np.exp(first * np.log(lam_d) - lam_d - log_fact)
+    j = 1
+    while np.any(term > 1e-17 * total):
+        term = term * np.where(down, (k_d - j) / lam_d, lam_d / (k_d + j))
+        total = total + term
+        j += 1
+    out[subnormal] = np.where(down, 1.0 - total, total)
     return out
 
 
@@ -311,7 +314,7 @@ def click_probability_array(det: DetectorParams, mean_flux, delays) -> np.ndarra
     of fluxes for a (flux, delay) grid. Every delay must lie within one
     gate period, and the flux must be finite and >= 0.
     """
-    d = _delays(det, delays)
+    d = det.timing.delays(delays)
     _check_flux(mean_flux)
     lam = det.mean_avalanches(mean_flux, d)
     n_th = det.threshold_count(d)
@@ -326,7 +329,6 @@ def click_probability(det: DetectorParams, pulse: PulseSpec) -> float:
     the count reaches the gain-dependent threshold; dark counts are folded in
     as an independent Bernoulli event.
     """
-    pulse.validate_against(det.timing)
     return float(click_probability_array(det, pulse.mean_flux, pulse.delay))
 
 
@@ -342,7 +344,7 @@ def trap_loading(det: DetectorParams, mean_flux, delays):
     Every delay must lie within one gate period, and the flux must be
     finite and >= 0.
     """
-    d = _delays(det, delays)
+    d = det.timing.delays(delays)
     _check_flux(mean_flux)
     carriers = mean_flux * det.detection_efficiency
     pop_if = (carriers * det.interface_trap.capture_fraction_photo

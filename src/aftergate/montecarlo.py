@@ -50,10 +50,9 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
         raise ValueError(f"pulse gates must lie in [0, window={window})")
     p_no_click = np.full(window, 1.0 - det.dark_count_prob)
     for gate, pulse in pulses:
-        pulse.validate_against(det.timing)
-        lam = float(det.mean_avalanches(pulse.mean_flux, pulse.delay))
-        n_th = int(det.threshold_count(pulse.delay))
-        p_no_click[gate] *= 1.0 - float(poisson_tail(n_th, lam))
+        d = det.timing.delays(pulse.delay)
+        p_no_click[gate] *= 1.0 - float(poisson_tail(
+            det.threshold_count(d), det.mean_avalanches(pulse.mean_flux, d)))
         offsets = np.arange(1, window - gate, dtype=float)
         p_no_click[gate + 1:] *= np.exp(-delayed_release_mean(
             det, pulse.mean_flux, pulse.delay, env, offsets))

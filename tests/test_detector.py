@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 
 from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
                        click_probability, trap_lifetime, trap_loading)
-from aftergate.attack import gate2_vs_delay
+from aftergate.attack import (AttackScenario, contour_flux_delay,
+                              gate2_vs_delay, sweep_delay)
 from aftergate.detector import (DetectorParams, GateTiming,
                                 click_probability_array,
                                 delayed_click_probability_arrays,
                                 delayed_release_mean, poisson_tail)
+from aftergate.feasibility import rescale_detector
+from aftergate.montecarlo import (analytic_gate_probabilities,
+                                  simulate_pulse_train)
 
 
 def species(ea, tau0, **kw):
@@ -157,6 +161,14 @@ class TestPoissonTail:
         np.testing.assert_allclose(poisson_tail(k, k.astype(float)),
                                    scipy_poisson.sf(k - 1, k), rtol=1e-12)
 
+    # e^-lam is subnormal or 0 past lam ~ 708; (700, 690) sits just below
+    @pytest.mark.parametrize("k, lam", [(800, 790.0), (800, 820.0),
+                                        (760, 750.0), (5, 1400.0),
+                                        (700, 690.0)])
+    def test_large_mean_matches_scipy_oracle(self, scipy_poisson, k, lam):
+        assert float(poisson_tail(k, lam)) == pytest.approx(
+            scipy_poisson.sf(k - 1, lam), rel=1e-12)
+
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):
             poisson_tail(1, -0.5)
@@ -204,7 +216,7 @@ class ReferenceTrapState:
 def reference_trap_loading(det, pulse, env=None):
     """The scalar trap loading the vectorized kernel replaced, kept verbatim
     (apart from its state class) as the oracle."""
-    pulse.validate_against(det.timing)
+    det.timing.delays(pulse.delay)
     carriers = pulse.mean_flux * det.detection_efficiency
     uncrossed = 1.0 - float(det.trigger_probability(pulse.delay))
     pop_if = carriers * det.interface_trap.capture_fraction_photo * uncrossed
@@ -290,17 +302,41 @@ class TestDelayedClickProbability:
         assert np.all(np.diff(probs) <= 0.0)
 
 
-@pytest.mark.parametrize("delays", [[-50.0, 1500.0], [float("nan")],
-                                    [1000.0]], ids=["outside", "nan", "period"])
+def _last_pulse(d):
+    """The last delay of a grid as one pulse."""
+    return PulseSpec(mean_flux=80.0, delay=d[-1])
+
+
+@pytest.mark.parametrize("clocks, delays, period", [
+    (None, [-50.0, 1500.0], 1000), (None, [float("nan")], 1000),
+    (None, [1000.0], 1000),
+    # 800 ps lies within the 1 GHz clock but not the 2 GHz one; the message
+    # names the shortest period
+    ([1e9, 2e9], [800.0], 500),
+], ids=["outside", "nan", "period", "array_clock"])
 @pytest.mark.parametrize("kernel", [
     lambda det, env, d: click_probability_array(det, 80.0, d),
     lambda det, env, d: trap_loading(det, 80.0, d),
     lambda det, env, d: delayed_release_mean(det, 80.0, d, env),
     lambda det, env, d: delayed_click_probability_arrays(det, 80.0, d, env),
+    lambda det, env, d: click_probability(det, _last_pulse(d)),
+    lambda det, env, d: sweep_delay(
+        det, AttackScenario(flux_full=80.0, env=env), d),
+    lambda det, env, d: gate2_vs_delay(det, 80.0, d, env),
+    lambda det, env, d: contour_flux_delay(det, [20.0, 80.0], d),
+    lambda det, env, d: analytic_gate_probabilities(
+        det, [(0, _last_pulse(d))], env, window=4),
+    lambda det, env, d: simulate_pulse_train(
+        det, [(0, _last_pulse(d))], env, trials=10, seed=1, window=4),
 ], ids=["click_probability_array", "trap_loading", "delayed_release_mean",
-        "delayed_click_probability_arrays"])
-def test_kernels_reject_delay_outside_period(det, env, kernel, delays):
-    with pytest.raises(ValueError, match=r"within \[0, 1000\) ps"):
+        "delayed_click_probability_arrays", "click_probability",
+        "sweep_delay", "gate2_vs_delay", "contour_flux_delay",
+        "analytic_gate_probabilities", "simulate_pulse_train"])
+def test_kernels_reject_delay_outside_period(det, env, kernel, clocks,
+                                             delays, period):
+    if clocks is not None:
+        det = rescale_detector(det, np.array(clocks))
+    with pytest.raises(ValueError, match=rf"within \[0, {period}\) ps"):
         kernel(det, env, delays)
 
 
