@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io, svg
-from .attack import (AttackScenario, attack_histogram, contour_flux_delay,
-                     gate2_vs_delay, key_rate, partial_attack_rates,
-                     sub_threshold_region, sweep_delay)
+from .attack import (AttackScenario, NoSignalError, attack_histogram,
+                     contour_flux_delay, gate2_vs_delay, key_rate,
+                     partial_attack_rates, sub_threshold_region, sweep_delay)
 # build_histogram is unused here; bench/tracer.py wraps it under this name.
 from .characterization import arrhenius_fit, build_histogram  # noqa: F401
 from .config import ConfigError, RunConfig, load_config
@@ -66,11 +66,15 @@ def _scenario(cfg: RunConfig) -> AttackScenario:
     return AttackScenario(flux_full=sec["flux_full"], env=cfg.environment)
 
 
-def _sweep_points(cfg: RunConfig):
+def _sweep_points(cfg: RunConfig, column: str = "q_target"):
+    """The configured sweep; NoSignalError if `column` is NaN throughout."""
     sec = cfg.values["sweep"]
     delays = np.linspace(sec["delay_min"], sec["delay_max"],
                          sec["delay_points"])
-    return sweep_delay(cfg.detector, _scenario(cfg), delays)
+    points = sweep_delay(cfg.detector, _scenario(cfg), delays)
+    if np.all(np.isnan(points[column])):
+        raise NoSignalError(f"no detections at any delay: {column} undefined")
+    return points
 
 
 def _dip_delay(points) -> tuple[float, float]:
@@ -203,7 +207,8 @@ def cmd_contour(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
-    q_attack = min(float(np.nanmin(_sweep_points(cfg).q_with_dd)), 0.5)
+    q_with_dd = _sweep_points(cfg, "q_with_dd").q_with_dd
+    q_attack = min(float(np.nanmin(q_with_dd)), 0.5)
     q_baseline = noise_qber(cfg.detector, cfg.environment,
                             cfg.values["scenario"]["signal_flux"])
     fractions = np.linspace(0.0, 1.0,

@@ -122,6 +122,13 @@ class GateTiming:
                              f"[0, {np.min(self.gate_period):g}) ps")
         return d
 
+    def one_clock(self, delay) -> float:
+        """delays() of one delay, as a float; an array clock raises."""
+        d = self.delays(delay)
+        if np.ndim(self.gate_period) or np.ndim(self.gate_width):
+            raise ValueError("this entry point takes one gating clock")
+        return float(d)
+
 
 def _raised_cosine(u):
     """Smooth 1 -> 0 ramp over u in [0, 1]."""
@@ -255,56 +262,39 @@ def poisson_tail(k, lam) -> np.ndarray:
     """P(N >= k) for N ~ Poisson(lam), elementwise over broadcast k and lam.
 
     k holds integers >= 1 and lam values >= 0. The tail is the regularized
-    incomplete gamma function P(k, lam) of DLMF §8.4, whose complement
-    Q(k, lam) is the Poisson head sum e^-lam sum_{j<k} lam^j / j!
-    (DLMF 8.4.10). Where lam >= k the tail is not small, so it is taken as
-    1 minus the head sum. Where lam < k it is summed directly as
-    pmf(k) * (1 + lam/(k+1) + lam^2/((k+1)(k+2)) + ...), whose terms fall
-    geometrically, until a term drops below 1e-17 of the sum. Both sums
-    start from e^-lam; where that is subnormal (lam above about 708) they
-    start from logs at pmf(k), or at pmf(k-1) with the head summed down.
+    incomplete gamma function P(k, lam) of DLMF §8.4; its complement Q(k, lam)
+    is the Poisson head sum over j < k (DLMF 8.4.10). Where lam >= k the tail
+    is 1 minus the head, summed down from pmf(k-1); elsewhere it is summed up
+    from pmf(k). Each first term is exp(n log(lam) - lam - lgamma(n + 1)),
+    so no e^-lam factor underflows on its own.
     """
     k, lam = np.broadcast_arrays(np.asarray(k, dtype=float),
                                  np.asarray(lam, dtype=float))
     if np.any(lam < 0):
         raise ValueError("Poisson mean must be >= 0")
+    down = lam >= k
+    first = np.where(down, k - 1.0, k)
+    log_fact = np.array([math.lgamma(n + 1.0)
+                         for n in range(int(first.max(initial=0)) + 1)])
+    with np.errstate(divide="ignore"):
+        pmf = np.exp(first * np.log(lam) - lam - log_fact[first.astype(int)])
     out = np.empty(k.shape)
-    start = np.exp(-lam)
-    subnormal = start < np.finfo(float).tiny
-    head = (lam >= k) & ~subnormal
-    k_h, lam_h = k[head], lam[head]
-    term = start[head]
-    total = term
-    for j in range(1, int(k_h.max(initial=1))):
-        term = term * lam_h / j
-        total = total + np.where(j < k_h, term, 0.0)
-    out[head] = 1.0 - total
-
-    upper = ~head & ~subnormal
-    k_u, lam_u = k[upper], lam[upper]
-    pmf = start[upper]
-    for j in range(1, int(k_u.max(initial=0)) + 1):
-        pmf = np.where(j <= k_u, pmf * lam_u / j, pmf)
-    term = total = pmf
-    j = 1
-    while np.any(term > 1e-17 * total):
-        term = term * lam_u / (k_u + j)
-        total = total + term
-        j += 1
-    out[upper] = total
-
-    k_d, lam_d = k[subnormal], lam[subnormal]
-    down = lam_d >= k_d
-    first = np.where(down, k_d - 1.0, k_d)
-    log_fact = [math.lgamma(n + 1.0) for n in first.tolist()]
-    term = total = np.exp(first * np.log(lam_d) - lam_d - log_fact)
-    j = 1
-    while np.any(term > 1e-17 * total):
-        term = term * np.where(down, (k_d - j) / lam_d, lam_d / (k_d + j))
-        total = total + term
-        j += 1
-    out[subnormal] = np.where(down, 1.0 - total, total)
+    k_d, lam_d = k[down], lam[down]
+    out[down] = 1.0 - _series(pmf[down], lambda j: (k_d - j) / lam_d)
+    k_u, lam_u = k[~down], lam[~down]
+    out[~down] = _series(pmf[~down], lambda j: lam_u / (k_u + j))
     return out
+
+
+def _series(term, ratio):
+    """term * (1 + ratio(1) + ratio(1) ratio(2) + ...) to 1e-17 relative."""
+    total = term
+    j = 1
+    while np.any(term > 1e-17 * total):
+        term = term * ratio(j)
+        total = total + term
+        j += 1
+    return total
 
 
 def click_probability_array(det: DetectorParams, mean_flux, delays) -> np.ndarray:
@@ -329,7 +319,8 @@ def click_probability(det: DetectorParams, pulse: PulseSpec) -> float:
     the count reaches the gain-dependent threshold; dark counts are folded in
     as an independent Bernoulli event.
     """
-    return float(click_probability_array(det, pulse.mean_flux, pulse.delay))
+    d = det.timing.one_clock(pulse.delay)
+    return float(click_probability_array(det, pulse.mean_flux, d))
 
 
 def trap_loading(det: DetectorParams, mean_flux, delays):

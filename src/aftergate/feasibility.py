@@ -10,7 +10,6 @@ Vulnerable, and the window in between is Suitable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -63,8 +62,7 @@ def noise_qber(det: DetectorParams, env: Environment,
     interface_only = replace(det, multiplication_trap=replace(
         det.multiplication_trap, capture_per_avalanche_charge=0.0))
     mean = delayed_release_mean(interface_only, signal_flux, 0.0, env)
-    # libm's exp: numpy's differs from it by 1 ulp on some inputs
-    p_dd = 1.0 - np.vectorize(math.exp, otypes=[float])(-mean)
+    p_dd = 1.0 - np.exp(-mean)
     p_other = det.dark_count_prob + afterpulse_background(det, p_sig)
     total = p_sig + p_dd + p_other
     if np.any(total <= 0.0):

@@ -50,7 +50,7 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
         raise ValueError(f"pulse gates must lie in [0, window={window})")
     p_no_click = np.full(window, 1.0 - det.dark_count_prob)
     for gate, pulse in pulses:
-        d = det.timing.delays(pulse.delay)
+        d = det.timing.one_clock(pulse.delay)
         p_no_click[gate] *= 1.0 - float(poisson_tail(
             det.threshold_count(d), det.mean_avalanches(pulse.mean_flux, d)))
         offsets = np.arange(1, window - gate, dtype=float)

@@ -25,6 +25,14 @@ FAST = ["--set", "sweep.delay_points=241",
         "--set", "histogram.gates=10"]
 
 
+# no light reaches the discriminator, and no dark counts
+NO_LIGHT = ["--set", "detector.detection_efficiency=0",
+            "--set", "detector.dark_count_prob=0"]
+# every sweep delay in the inter-gate gap, so no target-gate clicks
+GAP = ["--set", "sweep.delay_min=170", "--set", "sweep.delay_max=240",
+       "--set", "detector.dark_count_prob=0"]
+
+
 def run(tmp_path, *args, trials=20000, seed=3):
     return main(["--out", str(tmp_path), "--trials", str(trials),
                  "--seed", str(seed), *FAST, *args])
@@ -222,6 +230,25 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        [*NO_LIGHT, "sweep"], [*NO_LIGHT, "attack-hist"],
+        [*NO_LIGHT, "partial-attack"], [*GAP, "sweep"], [*GAP, "attack-hist"],
+    ], ids=["no_light-sweep", "no_light-attack-hist",
+            "no_light-partial-attack", "gap-sweep", "gap-attack-hist"])
+    def test_no_signal_sweep_is_one_line_failure(self, tmp_path, capsys,
+                                                 argv):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: no detections at any delay")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_gap_sweep_still_gives_partial_attack(self, tmp_path):
+        # q_with_dd is defined from delayed clicks alone, q_target is not
+        assert main(["--out", str(tmp_path), *GAP, "partial-attack"]) == 0
+        assert (tmp_path / "partial_attack.json").exists()
 
     def test_empty_feasibility_temperatures_is_config_error(self, tmp_path,
                                                             capsys):

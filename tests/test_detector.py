@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
                        click_probability, trap_lifetime, trap_loading)
-from aftergate.attack import (AttackScenario, contour_flux_delay,
-                              gate2_vs_delay, sweep_delay)
+from aftergate.attack import (AttackScenario, attack_histogram,
+                              contour_flux_delay, gate2_vs_delay, sweep_delay)
 from aftergate.detector import (DetectorParams, GateTiming,
                                 click_probability_array,
                                 delayed_click_probability_arrays,
@@ -168,6 +168,15 @@ class TestPoissonTail:
     def test_large_mean_matches_scipy_oracle(self, scipy_poisson, k, lam):
         assert float(poisson_tail(k, lam)) == pytest.approx(
             scipy_poisson.sf(k - 1, lam), rel=1e-12)
+
+    # the range the first term's underflow once split between code paths
+    @given(st.integers(1, 1000),
+           st.one_of(st.just(0.0),
+                     st.floats(min_value=1e-12, max_value=1500.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_oracle_to_k_1000(self, scipy_poisson, k, lam):
+        assert float(poisson_tail(k, lam)) == pytest.approx(
+            scipy_poisson.sf(k - 1, lam), rel=1e-11, abs=TINY)
 
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):
@@ -338,6 +347,24 @@ def test_kernels_reject_delay_outside_period(det, env, kernel, clocks,
         det = rescale_detector(det, np.array(clocks))
     with pytest.raises(ValueError, match=rf"within \[0, {period}\) ps"):
         kernel(det, env, delays)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda det, env, p: click_probability(det, p),
+    lambda det, env, p: analytic_gate_probabilities(det, [(0, p)], env,
+                                                    window=4),
+    lambda det, env, p: attack_histogram(
+        det, AttackScenario(flux_full=p.mean_flux, delay=p.delay, env=env),
+        "full", gates=4),
+    lambda det, env, p: simulate_pulse_train(det, [(0, p)], env, trials=10,
+                                             seed=1, window=4),
+], ids=["click_probability", "analytic_gate_probabilities",
+        "attack_histogram", "simulate_pulse_train"])
+def test_scalar_entry_points_reject_array_clock(det, env, entry):
+    # 80 ps lies within both periods, so only the number of clocks is wrong
+    det = rescale_detector(det, np.array([1e9, 2e9]))
+    with pytest.raises(ValueError, match="takes one gating clock"):
+        entry(det, env, PulseSpec(mean_flux=80.0, delay=80.0))
 
 
 @pytest.mark.parametrize("flux", [-5.0, float("nan"), float("inf")],
