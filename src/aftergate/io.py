@@ -23,28 +23,31 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def _cells(column) -> list[str]:
-    """A column's cells as text, each distinct value formatted once: float64
-    as format(x, ".12g") or "nan", anything else by str(). float64 values
-    are keyed by bit pattern; keyed by value, -0.0 would print as 0."""
-    a = np.asarray(column)
-    if a.dtype == np.float64:
-        keys = a.view(np.int64).tolist()
-        distinct = np.array(list(dict.fromkeys(keys)), dtype=np.int64)
-        text = {k: "nan" if math.isnan(x) else format(x, ".12g") for k, x in
-                zip(distinct.tolist(), distinct.view(np.float64).tolist())}
+def _cells(column, sep: str) -> np.ndarray:
+    """A column's cells as text, each followed by `sep`: float64 as
+    format(x, ".12g") or "nan", anything else by str(). Each distinct value
+    is found by np.unique and formatted once. float64 values are keyed by
+    bit pattern; keyed by value, -0.0 would print as 0."""
+    if column.dtype == np.float64:
+        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+        text = ["nan" if math.isnan(x) else format(x, ".12g")
+                for x in distinct.view(np.float64).tolist()]
     else:
-        keys = a.tolist()
-        text = {x: str(x) for x in dict.fromkeys(keys)}
-        if any(c in t for t in text.values() for c in ',"\r\n'):
+        distinct, index = np.unique(column, return_inverse=True)
+        text = [str(x) for x in distinct.tolist()]
+        if any(c in t for t in text for c in ',"\r\n'):
             raise ValueError("CSV cells must not need quoting")
-    return list(map(text.__getitem__, keys))
+    return np.array([t + sep for t in text], dtype=object)[index]
 
 
 def _write_columns(path, header, columns) -> None:
     """CSV of a header and equal-length 1-D columns, formatted by _cells."""
-    rows = map(",".join, zip(*map(_cells, columns), strict=True))
-    write_text(path, "\n".join([",".join(header), *rows]) + "\n")
+    columns = [np.asarray(c) for c in columns]
+    if any(c.ndim != 1 for c in columns):
+        raise ValueError("CSV columns must be 1-D")
+    seps = [","] * (len(columns) - 1) + ["\n"]
+    cells = np.stack(list(map(_cells, columns, seps)), axis=1)
+    write_text(path, ",".join(header) + "\n" + "".join(cells.ravel().tolist()))
 
 
 def _write_table(path, header, table) -> None:

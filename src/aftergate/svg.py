@@ -149,25 +149,27 @@ def heatmap(path, xs, ys, matrix, title, xlab, ylab, iso=None) -> None:
     px = [f"{sx(j):.1f}" for j in range(cols + 1)]
     py = [f"{sy(i):.1f}" for i in range(rows + 1)]
     cw, ch = sx(1) - sx(0), sy(0) - sy(1)
+    width = [f"{n * cw + 0.5:.1f}" for n in range(cols + 1)]
     frac = (np.where(finite, matrix, lo) - lo) / (hi - lo) if hi > lo \
         else np.zeros(matrix.shape)
     # dark purple -> pale yellow, packed as r << 16 | g << 8 | b; -1 for NaN
     r, g, b = ((base + frac * (top - base)).astype(np.int64)
                for base, top in ((60, 250), (20, 240), (90, 120)))
-    fills, key = np.unique(np.where(finite, r << 16 | g << 8 | b, -1).ravel(),
-                           return_inverse=True)
+    packed = np.where(finite, r << 16 | g << 8 | b, -1)
+    # a run starts at each row's first cell and where the fill changes
+    # (no fill is -2)
+    starts = np.flatnonzero(np.diff(packed, axis=1, prepend=-2))
+    fills, key = np.unique(packed.ravel()[starts], return_inverse=True)
     fills = ["#dddddd" if k < 0 else f"rgb({k >> 16},{k >> 8 & 255},{k & 255})"
              for k in fills.tolist()]
-    # a run starts at each row's first cell and wherever the fill changes
-    starts = np.flatnonzero(np.diff(key.reshape(rows, cols), axis=1,
-                                    prepend=-1))
     parts = _open(title)
-    for start, n in zip(starts.tolist(),
-                        np.diff(starts, append=key.size).tolist()):
+    height = f"{ch + 0.5:.1f}"
+    for start, n, k in zip(starts.tolist(),
+                           np.diff(starts, append=packed.size).tolist(),
+                           key.tolist()):
         i, j = divmod(start, cols)
-        parts.append(f'<rect x="{px[j]}" y="{py[i + 1]}" '
-                     f'width="{n * cw + 0.5:.1f}" height="{ch + 0.5:.1f}" '
-                     f'fill="{fills[key[start]]}"/>')
+        parts.append(f'<rect x="{px[j]}" y="{py[i + 1]}" width="{width[n]}" '
+                     f'height="{height}" fill="{fills[k]}"/>')
     if iso is not None:
         # dash each cell edge where `matrix < iso` flips: row, then column
         edge = np.pad(matrix < iso, 1)

@@ -4,6 +4,7 @@ import configparser
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -334,6 +335,11 @@ class TestColumnWriter:
             io._write_columns(tmp_path / "u.csv", ["a", "b"],
                               [np.zeros(2), np.zeros(3)])
 
+    def test_column_not_1d_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="1-D"):
+            io._write_columns(tmp_path / "m.csv", ["a", "b"],
+                              [np.zeros((2, 2)), np.zeros(2)])
+
 
 @pytest.fixture(scope="module")
 def shipped_outputs(default_cfg):
@@ -347,6 +353,11 @@ def shipped_outputs(default_cfg):
     delays = np.linspace(sec["delay_min"], sec["delay_max"],
                          sec["delay_points"])
     q_dd = float(np.nanmin([p.q_with_dd for p in sweep]))
+    # a non-square grid with NaN cells: a dark-free detector sees nothing
+    # at delays in the inter-gate gap
+    few, gap = np.geomspace(0.5, 120.0, 7), np.linspace(20.0, 900.0, 23)
+    q_gap = contour_flux_delay(replace(det, dark_count_prob=0.0), few, gap)
+    assert np.isnan(q_gap).any() and np.isfinite(q_gap).any()
     attack = AttackScenario(flux_full=sc["flux_full"], delay=153.25, env=env)
     return {  # writer name -> argument tuples
         "histogram": [
@@ -356,7 +367,8 @@ def shipped_outputs(default_cfg):
             (attack_histogram(det, attack, "half", 12),)],
         "sweep": [(sweep,)],
         "contour": [(fluxes, delays,
-                     contour_flux_delay(det, fluxes, delays))],
+                     contour_flux_delay(det, fluxes, delays)),
+                    (few, gap, q_gap)],
         "gate2": [(gate2_vs_delay(det, sc["flux_full"],
                                   np.linspace(95.0, 960.0, 200), env),)],
         "partial_attack": [(partial_attack_rates(min(q_dd, 0.5), 0.02,
