@@ -23,7 +23,7 @@ pulse = PulseSpec(mean_flux=0.1, delay=0.0)
 
 dead_time = cfg.values["histogram"]["dead_time"]
 hist = simulate_pulse_train(det, [(0, pulse)], env, trials=trials, seed=8081,
-                            window=gates, workers=4, dead_time=dead_time)
+                            window=gates, dead_time=dead_time)
 
 print(f"{trials} trials, flux 0.1 at the optimal delay, "
       f"{dead_time / 1000:g} ns dead time")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from aftergate import AttackScenario, attack_histogram, load_config, sweep_delay
+from aftergate import attack_histogram, load_config, sweep_delay
 from aftergate.io import write_sweep_csv
 from aftergate.svg import line_chart
 
@@ -19,10 +19,10 @@ OUT.mkdir(exist_ok=True)
 
 cfg = load_config()
 det, env = cfg.detector, cfg.environment
-scenario = AttackScenario(flux_full=80.0, env=env)
+flux = 80.0  # photons at full power; a mismatched basis halves it
 
 delays = np.linspace(0.0, 240.0, 961)
-points = sweep_delay(det, scenario, delays)
+points = sweep_delay(det, flux, delays, env)
 
 q = np.array([p.q_target for p in points])
 q_dd = np.array([p.q_with_dd for p in points])
@@ -34,12 +34,8 @@ print(f"  minimum target-gate QBER  : {q[i]:.4f} at {points[i].delay:.2f} ps")
 print(f"  same point with delayed detection: {points[i].q_with_dd:.4f}")
 print(f"  minimum corrected QBER    : {np.nanmin(q_dd):.4f}  (> 0.11)")
 
-hist_f = attack_histogram(det, AttackScenario(flux_full=80.0,
-                                              delay=points[i].delay, env=env),
-                          "full", gates=6)
-hist_h = attack_histogram(det, AttackScenario(flux_full=80.0,
-                                              delay=points[i].delay, env=env),
-                          "half", gates=6)
+hist_f = attack_histogram(det, flux, points[i].delay, env, gates=6)
+hist_h = attack_histogram(det, flux / 2.0, points[i].delay, env, gates=6)
 print("\nper-gate probabilities at the dip delay:")
 print(f"{'gate':>5} {'full':>10} {'half':>10}")
 for g in range(6):

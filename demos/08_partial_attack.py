@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from aftergate import (AttackScenario, key_rate, load_config, noise_qber,
-                       partial_attack_rates, sweep_delay)
+from aftergate import (key_rate, load_config, noise_qber, partial_attack_rates,
+                       sweep_delay)
 from aftergate.io import write_partial_attack_csv
 
 OUT = Path(__file__).resolve().parent / "out"
@@ -20,24 +20,23 @@ OUT.mkdir(exist_ok=True)
 cfg = load_config()
 det, env = cfg.detector, cfg.environment
 
-points = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                     np.linspace(0.0, 240.0, 961))
+points = sweep_delay(det, 80.0, np.linspace(0.0, 240.0, 961), env)
 q_attack = min(0.5, float(np.nanmin([p.q_with_dd for p in points])))
 q_base = noise_qber(det, env)
 
 print(f"attacked-gate QBER (delayed detection included): {q_attack:.4f}")
 print(f"baseline QBER without the attacker            : {q_base:.4f}")
-print(f"key rate at baseline: {key_rate(q_base).rate:.4f}; "
-      f"under full attack: {key_rate(q_attack).rate:.4f}")
+print(f"key rate at baseline: {key_rate(q_base):.4f}; "
+      f"under full attack: {key_rate(q_attack):.4f}")
 
 fractions = np.linspace(0.0, 1.0, 101)
 rows = partial_attack_rates(q_attack, q_base, fractions)
 print(f"\n{'fraction':>9} {'combined rate':>14} {'blended-QBER rate':>18}")
 for f, combined, _ in rows[::20]:
-    blended = key_rate(f * q_attack + (1 - f) * q_base).rate
+    blended = key_rate(f * q_attack + (1 - f) * q_base)
     print(f"{f:9.2f} {combined:14.4f} {blended:18.4f}")
 
-gaps = [combined - key_rate(f * q_attack + (1 - f) * q_base).rate
+gaps = [combined - key_rate(f * q_attack + (1 - f) * q_base)
         for f, combined, _ in rows]
 print(f"\nminimum (combined - blended) gap over the grid: {min(gaps):.3e}")
 print("the mixture never undercuts the blended rate: partial attacks only")

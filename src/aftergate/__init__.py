@@ -24,8 +24,6 @@ from .characterization import (
 )
 from .attack import (
     QBER_THRESHOLD,
-    AttackScenario,
-    KeyRateResult,
     NoSignalError,
     attack_histogram,
     binary_entropy,

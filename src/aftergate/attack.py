@@ -10,8 +10,6 @@ carriers contribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .characterization import GateHistogram
@@ -25,28 +23,6 @@ QBER_THRESHOLD = 0.11
 
 class NoSignalError(ValueError):
     """Both detection probabilities vanish; the QBER is undefined."""
-
-
-@dataclass(frozen=True)
-class AttackScenario:
-    """Attack parameters: full/half fluxes and pulse delay."""
-
-    flux_full: float
-    flux_half: float | None = None
-    delay: float = 0.0
-    env: Environment = Environment(temperature=293.15)
-
-    def __post_init__(self):
-        if self.flux_half is None:
-            object.__setattr__(self, "flux_half", self.flux_full / 2.0)
-        if not (self.flux_full >= self.flux_half >= 0):
-            raise ValueError("need flux_full >= flux_half >= 0")
-
-
-@dataclass(frozen=True)
-class KeyRateResult:
-    qber: float
-    rate: float
 
 
 def _qber_array(p_f, p_h):
@@ -111,31 +87,38 @@ def qber_with_dd(p_f: float, p_h: float, p_dd_f: float, p_dd_h: float) -> float:
                                         _mean_delayed_array(p_dd_f, p_dd_h)))
 
 
+def _grid(values, name: str) -> np.ndarray:
+    """The values as a 1-D float array; anything else raises, naming the
+    grid."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"{name} grid must be a 1-D array")
+    return a
+
+
 def _delay_grid(det: DetectorParams, delays) -> np.ndarray:
     """The delays as a 1-D float array within one gate period; the
     caller's order is kept."""
-    d = det.timing.delays(delays)
-    if d.ndim != 1:
-        raise ValueError("delay grid must be a 1-D array")
-    return d
+    return _grid(det.timing.delays(delays), "delay")
 
 
-def _sweep_arrays(det: DetectorParams, flux_full: float, flux_half: float,
-                  delays, env: Environment):
+def _sweep_arrays(det: DetectorParams, flux: float, delays, env: Environment):
     """p_f, p_h, p_dd_f, p_dd_h, p_bar, q_target and q_with_dd over a delay
-    grid; no-signal delays give NaN QBERs."""
-    p_f = click_probability_array(det, flux_full, delays)
-    p_h = click_probability_array(det, flux_half, delays)
-    p_ddf = delayed_click_probability_arrays(det, flux_full, delays, env)
-    p_ddh = delayed_click_probability_arrays(det, flux_half, delays, env)
+    grid, at full power `flux` and half power flux / 2; no-signal delays
+    give NaN QBERs."""
+    p_f = click_probability_array(det, flux, delays)
+    p_h = click_probability_array(det, flux / 2.0, delays)
+    p_ddf = delayed_click_probability_arrays(det, flux, delays, env)
+    p_ddh = delayed_click_probability_arrays(det, flux / 2.0, delays, env)
     p_bar = _mean_delayed_array(p_ddf, p_ddh)
     return (p_f, p_h, p_ddf, p_ddh, p_bar, _qber_array(p_f, p_h),
             _qber_with_dd_array(p_f, p_h, p_bar))
 
 
-def sweep_delay(det: DetectorParams, scenario: AttackScenario,
-                delays) -> np.recarray:
-    """Evaluate both QBER forms over a grid of pulse delays.
+def sweep_delay(det: DetectorParams, flux: float, delays,
+                env: Environment) -> np.recarray:
+    """Evaluate both QBER forms over a grid of pulse delays, at full power
+    `flux` and half power flux / 2.
 
     Returns one record per delay with fields delay, p_f, p_h, p_dd_f,
     p_dd_h, p_dd_bar, q_target and q_with_dd. No-signal delays (both
@@ -143,25 +126,22 @@ def sweep_delay(det: DetectorParams, scenario: AttackScenario,
     the sweep, so output grids stay rectangular.
     """
     d = _delay_grid(det, delays)
-    columns = _sweep_arrays(det, scenario.flux_full, scenario.flux_half, d,
-                            scenario.env)
+    columns = _sweep_arrays(det, flux, d, env)
     return np.rec.fromarrays([d, *columns], names="delay,p_f,p_h,p_dd_f,"
                              "p_dd_h,p_dd_bar,q_target,q_with_dd")
 
 
-def attack_histogram(det: DetectorParams, scenario: AttackScenario,
-                     power: str, gates: int = 8) -> GateHistogram:
-    """Analytic per-gate detection probabilities under the attack.
+def attack_histogram(det: DetectorParams, flux: float, delay: float,
+                     env: Environment, gates: int) -> GateHistogram:
+    """Analytic per-gate detection probabilities of one pulse of `flux`
+    photons at `delay`.
 
     Gate 1 is the target gate; later gates carry trap release plus dark and
-    flat afterpulse background. power is "full" or "half".
+    flat afterpulse background.
     """
     from .montecarlo import analytic_gate_probabilities
-    if power not in ("full", "half"):
-        raise ValueError('power must be "full" or "half"')
-    flux = scenario.flux_full if power == "full" else scenario.flux_half
-    pulse = PulseSpec(mean_flux=flux, delay=scenario.delay)
-    probs = analytic_gate_probabilities(det, [(0, pulse)], scenario.env, gates)
+    pulse = PulseSpec(mean_flux=flux, delay=delay)
+    probs = analytic_gate_probabilities(det, [(0, pulse)], env, gates)
     return GateHistogram(gate_counts=probs, trials=None,
                          gate_period=det.timing.gate_period)
 
@@ -186,7 +166,7 @@ def contour_flux_delay(det: DetectorParams, fluxes, delays) -> np.ndarray:
     Returns a matrix with shape (len(fluxes), len(delays)); no-signal cells
     are NaN.
     """
-    f = np.asarray(fluxes, dtype=float)
+    f = _grid(fluxes, "flux")
     if np.any(f <= 0):
         raise ValueError("flux grid must be positive")
     d = _delay_grid(det, delays)
@@ -215,10 +195,9 @@ def binary_entropy(q) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def key_rate(qber: float) -> KeyRateResult:
+def key_rate(qber: float) -> float:
     """Asymptotic BB84 key fraction, clamped at zero."""
-    rate = max(0.0, 1.0 - 2.0 * float(binary_entropy(qber)))
-    return KeyRateResult(qber=qber, rate=rate)
+    return max(0.0, 1.0 - 2.0 * float(binary_entropy(qber)))
 
 
 def partial_attack_rates(q_attack: float, q_baseline: float,
@@ -234,11 +213,11 @@ def partial_attack_rates(q_attack: float, q_baseline: float,
     for q in (q_attack, q_baseline):
         if not (0.0 <= q <= 0.5):
             raise ValueError("QBER inputs must lie in [0, 0.5]")
-    f = np.asarray(fractions, dtype=float)
+    f = _grid(fractions, "fraction")
     if not np.all((f >= 0.0) & (f <= 1.0)):
         raise ValueError("attacked fractions must lie in [0, 1]")
-    r_attack = key_rate(q_attack).rate
-    r_base = key_rate(q_baseline).rate
+    r_attack = key_rate(q_attack)
+    r_base = key_rate(q_baseline)
     return np.rec.fromarrays(
         [f, f * r_attack + (1.0 - f) * r_base, np.full(f.shape, r_attack)],
         names="fraction,combined_rate,full_attack_rate")

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io, svg
-from .attack import (AttackScenario, NoSignalError, attack_histogram,
-                     contour_flux_delay, gate2_vs_delay, key_rate,
-                     partial_attack_rates, sub_threshold_region, sweep_delay)
+from .attack import (NoSignalError, attack_histogram, contour_flux_delay,
+                     gate2_vs_delay, key_rate, partial_attack_rates,
+                     sub_threshold_region, sweep_delay)
 # build_histogram is unused here; bench/tracer.py wraps it under this name.
 from .characterization import arrhenius_fit, build_histogram  # noqa: F401
 from .config import ConfigError, RunConfig, load_config
@@ -61,17 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario(cfg: RunConfig) -> AttackScenario:
-    sec = cfg.values["scenario"]
-    return AttackScenario(flux_full=sec["flux_full"], env=cfg.environment)
-
-
 def _sweep_points(cfg: RunConfig, column: str = "q_target"):
     """The configured sweep; NoSignalError if `column` is NaN throughout."""
     sec = cfg.values["sweep"]
     delays = np.linspace(sec["delay_min"], sec["delay_max"],
                          sec["delay_points"])
-    points = sweep_delay(cfg.detector, _scenario(cfg), delays)
+    points = sweep_delay(cfg.detector, cfg.values["scenario"]["flux_full"],
+                         delays, cfg.environment)
     if np.all(np.isnan(points[column])):
         raise NoSignalError(f"no detections at any delay: {column} undefined")
     return points
@@ -148,13 +144,13 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
 
 def cmd_attack_hist(cfg: RunConfig, args, out: Path) -> None:
     delay, _ = _dip_delay(_sweep_points(cfg))
-    scenario = replace(_scenario(cfg), delay=delay)
+    flux = cfg.values["scenario"]["flux_full"]
     gates = cfg.values["histogram"]["gates"]
     hists = {}
-    for power in ("full", "half"):
-        hist = attack_histogram(cfg.detector, scenario, power, gates)
-        hists[power] = hist
-        io.write_histogram_csv(out / f"attack_hist_{power}.csv", hist)
+    for power, f in (("full", flux), ("half", flux / 2.0)):
+        hists[power] = attack_histogram(cfg.detector, f, delay,
+                                        cfg.environment, gates)
+        io.write_histogram_csv(out / f"attack_hist_{power}.csv", hists[power])
     svg.line_chart(out / "attack_hist.svg",
                    list(range(1, gates + 1)),
                    {"full power": hists["full"].gate_counts,
@@ -222,8 +218,8 @@ def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
                    "key rate")
     io.write_json(out / "partial_attack.json", {
         "q_attack": q_attack, "q_baseline": q_baseline,
-        "rate_baseline": key_rate(q_baseline).rate,
-        "rate_attack": key_rate(q_attack).rate,
+        "rate_baseline": key_rate(q_baseline),
+        "rate_attack": key_rate(q_attack),
     })
     print(f"q_attack={q_attack:.4f} q_baseline={q_baseline:.4f}; "
           f"combined rate at f=0.5: {rows.combined_rate[len(rows) // 2]:.4f}")

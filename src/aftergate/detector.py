@@ -101,6 +101,8 @@ class GateTiming:
     def __post_init__(self):
         if np.any(self.gating_frequency <= 0):
             raise ValueError("gating_frequency must be > 0")
+        if not np.all(np.isfinite(self.gating_frequency)):
+            raise ValueError("gating_frequency must be finite and > 0")
         period, width = np.broadcast_arrays(self.gate_period, self.gate_width)
         bad = ~((0.0 < width) & (width < period))
         if bad.any():

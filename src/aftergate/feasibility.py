@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attack import QBER_THRESHOLD, _sweep_arrays
+from .attack import QBER_THRESHOLD, _grid, _sweep_arrays
 # click_probability, delayed_click_probability_arrays, trap_lifetime and
 # trap_loading are unused here; bench/tracer.py wraps them by these names.
 from .detector import (DetectorParams, Environment, GateTiming,  # noqa: F401
@@ -83,7 +83,7 @@ def attack_qber_at_frequency(det: DetectorParams, env: Environment,
     stop = np.minimum(1.05 * det.timing.gate_width,
                       0.999 * det.timing.gate_period)
     delays = np.linspace(0.0, stop, 512)
-    q = _sweep_arrays(det, attack_flux, attack_flux / 2.0, delays, env)[-1]
+    q = _sweep_arrays(det, attack_flux, delays, env)[-1]
     if np.any(np.all(np.isnan(q), axis=0)):
         raise ValueError("attack sweep produced no signal at any delay; "
                          "check the detector configuration")
@@ -98,7 +98,7 @@ def feasibility_band(frequencies, env: Environment,
     """One verdict per frequency of an ascending grid, as records
     (frequency [Hz], q_noise, q_attack, classification); every frequency
     is evaluated in one pass of the kernels."""
-    freqs = np.asarray(frequencies, dtype=float)
+    freqs = _grid(frequencies, "frequency")
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("frequency grid must be sorted ascending")
     det = rescale_detector(det_template, freqs)

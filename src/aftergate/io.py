@@ -24,12 +24,13 @@ def write_text(path, text: str) -> None:
 
 
 def _cells(column, sep: str) -> np.ndarray:
-    """A column's cells as text, each followed by `sep`: float64 as
-    format(x, ".12g") or "nan", anything else by str(). Each distinct value
-    is found by np.unique and formatted once. float64 values are keyed by
-    bit pattern; keyed by value, -0.0 would print as 0."""
-    if column.dtype == np.float64:
-        distinct, index = np.unique(column.view(np.int64), return_inverse=True)
+    """A column's cells as text, each followed by `sep`: floats, cast to
+    float64, as format(x, ".12g") or "nan", anything else by str(). Each
+    distinct value is found by np.unique and formatted once. Floats are
+    keyed by bit pattern; keyed by value, -0.0 and 0.0 would share a text."""
+    if column.dtype.kind == "f":
+        bits = column.astype(np.float64, copy=False).view(np.int64)
+        distinct, index = np.unique(bits, return_inverse=True)
         text = ["nan" if math.isnan(x) else format(x, ".12g")
                 for x in distinct.view(np.float64).tolist()]
     else:

@@ -89,12 +89,12 @@ def bar_chart(path, labels, values, title, xlab, ylab) -> None:
     sx = _scale(-0.5, len(values) - 0.5, _ML, _W - _MR)
     width = (sx(1) - sx(0)) * 0.7
     for i, v in enumerate(values):
-        if v <= 0:
-            continue
-        px = sx(i) - width / 2
-        py = sy(v)
-        parts.append(f'<rect x="{px:.1f}" y="{py:.1f}" width="{width:.1f}" '
-                     f'height="{_H - _MB - py:.1f}" fill="{_COLORS[0]}"/>')
+        if v > 0:
+            px = sx(i) - width / 2
+            py = sy(v)
+            parts.append(f'<rect x="{px:.1f}" y="{py:.1f}" '
+                         f'width="{width:.1f}" height="{_H - _MB - py:.1f}" '
+                         f'fill="{_COLORS[0]}"/>')
         parts.append(f'<text x="{sx(i):.1f}" y="{_H - _MB + 14}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="10">{labels[i]}</text>')

@@ -11,12 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from aftergate import (AttackScenario, Environment, GateHistogram,
-                       LifetimePoint, PulseSpec, TrapKind, TrapSpecies,
-                       arrhenius_fit, attack_histogram, extract_lifetime,
-                       feasibility_band, key_rate, load_config,
-                       partial_attack_rates, qber_target, qber_with_dd,
-                       simulate_pulse_train, sweep_delay)
+from aftergate import (Environment, GateHistogram, LifetimePoint, PulseSpec,
+                       TrapKind, TrapSpecies, arrhenius_fit, attack_histogram,
+                       extract_lifetime, feasibility_band, key_rate,
+                       load_config, partial_attack_rates, qber_target,
+                       qber_with_dd, simulate_pulse_train, sweep_delay)
 from aftergate.cli import main
 from aftergate.detector import DetectorParams, GateTiming
 from aftergate.feasibility import suitable_interval
@@ -33,9 +32,7 @@ def cfg():
 @pytest.fixture(scope="module")
 def sweep_points(cfg):
     grid = np.linspace(0.0, 240.0, 961)
-    return sweep_delay(cfg.detector,
-                       AttackScenario(flux_full=80.0, env=cfg.environment),
-                       grid)
+    return sweep_delay(cfg.detector, 80.0, grid, cfg.environment)
 
 
 def test_criterion_1_target_qber_algebra():
@@ -80,17 +77,14 @@ def test_criterion_3_dip_reproduction(cfg, sweep_points):
 
 def test_criterion_4_histogram_ratios(cfg, sweep_points):
     det, env = cfg.detector, cfg.environment
-    single = attack_histogram(det, AttackScenario(flux_full=0.1,
-                                                  flux_half=0.05, env=env),
-                              "full", gates=12)
+    single = attack_histogram(det, 0.1, 0.0, env, gates=12)
     r_single = single.gate_counts[1] / single.gate_counts[0]
     assert 0.005 <= r_single <= 0.02
 
     q = np.array([p.q_target for p in sweep_points])
     dip_delay = sweep_points[int(np.nanargmin(q))].delay
-    scenario = AttackScenario(flux_full=80.0, delay=dip_delay, env=env)
-    full = attack_histogram(det, scenario, "full", gates=8)
-    half = attack_histogram(det, scenario, "half", gates=8)
+    full = attack_histogram(det, 80.0, dip_delay, env, gates=8)
+    half = attack_histogram(det, 40.0, dip_delay, env, gates=8)
     r_full = full.gate_counts[1] / full.gate_counts[0]
     assert 0.10 <= r_full <= 0.20
     assert half.gate_counts[1] > half.gate_counts[0]
@@ -195,7 +189,7 @@ def test_criterion_7_feasibility_band(cfg):
 
 def test_criterion_8_key_rate_convexity():
     q = np.arange(0.0, 0.5001, 0.001)
-    r = np.array([key_rate(v).rate for v in q])
+    r = np.array([key_rate(v) for v in q])
     mid_gap = 0.5 * (r[:-2] + r[2:]) - r[1:-1]
     assert np.all(mid_gap >= -1e-12)
 
@@ -203,7 +197,7 @@ def test_criterion_8_key_rate_convexity():
     rows = partial_attack_rates(0.12, 0.02, fractions)
     worst = 0.0
     for f, combined, _ in rows:
-        blended = key_rate(f * 0.12 + (1.0 - f) * 0.02).rate
+        blended = key_rate(f * 0.12 + (1.0 - f) * 0.02)
         worst = min(worst, combined - blended)
         assert combined >= blended - 1e-12
     print(f"[criterion 8] key-rate convexity (worst mixture margin "

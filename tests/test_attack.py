@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftergate import (AttackScenario, NoSignalError, attack_histogram,
-                       binary_entropy, contour_flux_delay, gate2_vs_delay,
-                       key_rate, mean_delayed, partial_attack_rates,
-                       qber_target, qber_with_dd, sweep_delay)
+from aftergate import (NoSignalError, attack_histogram, binary_entropy,
+                       contour_flux_delay, gate2_vs_delay, key_rate,
+                       mean_delayed, partial_attack_rates, qber_target,
+                       qber_with_dd, sweep_delay)
 from aftergate.attack import _qber_array, sub_threshold_region
 from aftergate.detector import click_probability_array
+from aftergate.feasibility import feasibility_band
 
 
 class TestQberTarget:
@@ -93,8 +94,7 @@ class TestQberWithDd:
 
 @pytest.fixture(scope="module")
 def points(det, env, sweep_grid):
-    return sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                       sweep_grid)
+    return sweep_delay(det, 80.0, sweep_grid, env)
 
 
 class TestSweep:
@@ -132,15 +132,14 @@ class TestSweep:
     def test_no_signal_cells_are_nan_not_dropped(self, det, env, sweep_grid):
         from dataclasses import replace
         dark_free = replace(det, dark_count_prob=0.0)
-        pts = sweep_delay(dark_free, AttackScenario(flux_full=80.0, env=env),
-                          np.array([20.0, 500.0, 900.0]))
+        pts = sweep_delay(dark_free, 80.0, np.array([20.0, 500.0, 900.0]),
+                          env)
         assert len(pts) == 3
         assert math.isnan(pts[1].q_target) and math.isnan(pts[2].q_target)
 
     def test_grid_outside_period_rejected(self, det, env):
         with pytest.raises(ValueError):
-            sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                        np.array([0.0, 1200.0]))
+            sweep_delay(det, 80.0, np.array([0.0, 1200.0]), env)
 
 
 class TestDelayGridValidation:
@@ -149,8 +148,7 @@ class TestDelayGridValidation:
     @pytest.mark.parametrize("bad", BAD)
     def test_sweep_rejects_delay_outside_period(self, det, env, bad):
         with pytest.raises(ValueError, match="delay grid"):
-            sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                        [20.0, bad])
+            sweep_delay(det, 80.0, [20.0, bad], env)
 
     @pytest.mark.parametrize("bad", BAD)
     def test_gate2_rejects_delay_outside_period(self, det, env, bad):
@@ -168,16 +166,26 @@ class TestDelayGridValidation:
             gate2_vs_delay(det, 80.0, delays, env)
 
     def test_sweep_keeps_caller_order(self, det, env):
-        pts = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                          [150.0, 20.0])
+        pts = sweep_delay(det, 80.0, [150.0, 20.0], env)
         assert [p.delay for p in pts] == [150.0, 20.0]
-        forward = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                              [20.0, 150.0])
+        forward = sweep_delay(det, 80.0, [20.0, 150.0], env)
         assert pts.tolist() == forward[::-1].tolist()
 
 
+@pytest.mark.parametrize("grid, call", [
+    ("flux", lambda det, env: contour_flux_delay(det, [[1.0, 2.0]], [10.0])),
+    ("frequency", lambda det, env: feasibility_band([[1e8, 1e9]], env, det)),
+    ("fraction", lambda det, env: partial_attack_rates(0.2, 0.02, [[0.1]])),
+])
+def test_grid_not_1d_rejected(det, env, grid, call):
+    # every grid follows the delay grid's rule: 1-D, or a one-line error
+    # that names it
+    with pytest.raises(ValueError, match=rf"^{grid} grid must be a 1-D"):
+        call(det, env)
+
+
 def dip_delay(det, env, grid):
-    points = sweep_delay(det, AttackScenario(flux_full=80.0, env=env), grid)
+    points = sweep_delay(det, 80.0, grid, env)
     q = np.array([p.q_target for p in points])
     return points[int(np.nanargmin(q))].delay
 
@@ -189,32 +197,22 @@ def dip(det, env, sweep_grid):
 
 class TestAttackHistogram:
     def test_single_photon_reference_ratio(self, det, env):
-        scenario = AttackScenario(flux_full=0.1, flux_half=0.05, delay=0.0,
-                                  env=env)
-        hist = attack_histogram(det, scenario, "full", gates=12)
+        hist = attack_histogram(det, 0.1, 0.0, env, gates=12)
         ratio = hist.gate_counts[1] / hist.gate_counts[0]
         assert 0.005 <= ratio <= 0.02
 
     def test_full_power_ratio_at_dip(self, det, env, dip):
-        scenario = AttackScenario(flux_full=80.0, delay=dip, env=env)
-        hist = attack_histogram(det, scenario, "full", gates=8)
+        hist = attack_histogram(det, 80.0, dip, env, gates=8)
         ratio = hist.gate_counts[1] / hist.gate_counts[0]
         assert 0.10 <= ratio <= 0.20
 
     def test_half_power_adjacent_gate_dominates(self, det, env, dip):
-        scenario = AttackScenario(flux_full=80.0, delay=dip, env=env)
-        hist = attack_histogram(det, scenario, "half", gates=8)
+        hist = attack_histogram(det, 40.0, dip, env, gates=8)
         assert hist.gate_counts[1] > hist.gate_counts[0]
-
-    def test_rejects_unknown_power(self, det, env):
-        with pytest.raises(ValueError):
-            attack_histogram(det, AttackScenario(flux_full=80.0, env=env),
-                             "quarter")
 
     def test_rejects_zero_gates(self, det, env):
         with pytest.raises(ValueError, match="window"):
-            attack_histogram(det, AttackScenario(flux_full=80.0, env=env),
-                             "full", gates=0)
+            attack_histogram(det, 80.0, 0.0, env, gates=0)
 
 
 class TestGate2VsDelay:
@@ -272,8 +270,7 @@ class TestContour:
     def test_consistent_with_sweep(self, det, env, grids, matrix):
         fluxes, delays = grids
         i = np.where(fluxes == 80.0)[0][0]
-        pts = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                          delays)
+        pts = sweep_delay(det, 80.0, delays, env)
         for j in (100, 290, 306, 320):
             assert matrix[i, j] == pytest.approx(pts[j].q_target, abs=1e-12)
 
@@ -333,22 +330,21 @@ class TestBinaryEntropy:
 class TestPartialAttack:
     def test_endpoints_reduce_to_pure_rates(self):
         rows = partial_attack_rates(0.12, 0.02, [0.0, 1.0])
-        r_base = key_rate(0.02).rate
-        r_attack = key_rate(0.12).rate
+        r_base = key_rate(0.02)
+        r_attack = key_rate(0.12)
         assert rows[0][1] == pytest.approx(r_base, rel=1e-12)
         assert rows[1][1] == pytest.approx(r_attack, rel=1e-12)
 
     def test_worked_half_fraction(self):
         # r(0.12) clamps to 0; r(0.02) = 1 - 2 h2(0.02) = 0.7171189...
-        assert key_rate(0.12).rate == 0.0
-        assert key_rate(0.02).rate == pytest.approx(0.717118914916359,
-                                                    rel=1e-12)
+        assert key_rate(0.12) == 0.0
+        assert key_rate(0.02) == pytest.approx(0.717118914916359, rel=1e-12)
         rows = partial_attack_rates(0.12, 0.02, [0.5])
         assert rows[0][1] == pytest.approx(0.358559457458179, rel=1e-12)
 
     def test_midpoint_convexity_of_rate(self):
         q = np.arange(0.0, 0.5001, 0.001)
-        r = np.array([key_rate(v).rate for v in q])
+        r = np.array([key_rate(v) for v in q])
         mid = 0.5 * (r[:-2] + r[2:])
         assert np.all(mid >= r[1:-1] - 1e-12)
 
@@ -356,13 +352,13 @@ class TestPartialAttack:
         fractions = np.arange(0.0, 1.0001, 0.01)
         rows = partial_attack_rates(0.12, 0.02, fractions)
         for f, combined, _ in rows:
-            blended = key_rate(f * 0.12 + (1 - f) * 0.02).rate
+            blended = key_rate(f * 0.12 + (1 - f) * 0.02)
             assert combined >= blended - 1e-12
 
     def test_equals_per_fraction_loop(self):
         # the loop the vectorized mixture replaced, same float64 operations
         fractions = np.linspace(0.0, 1.0, 101)
-        r_attack, r_base = key_rate(0.05).rate, key_rate(0.02).rate
+        r_attack, r_base = key_rate(0.05), key_rate(0.02)
         expected = [(f, f * r_attack + (1.0 - f) * r_base, r_attack)
                     for f in fractions]
         assert partial_attack_rates(0.05, 0.02, fractions).tolist() == expected

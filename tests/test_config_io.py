@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aftergate import (AttackScenario, ConfigError, DetectorParams,
-                       Environment, GateHistogram, GateTiming, PulseSpec,
-                       TrapKind, TrapSpecies, attack_histogram,
-                       contour_flux_delay, feasibility_band, gate2_vs_delay,
-                       load_config, partial_attack_rates,
-                       simulate_pulse_train, sweep_delay)
+from aftergate import (ConfigError, DetectorParams, Environment,
+                       GateHistogram, GateTiming, PulseSpec, TrapKind,
+                       TrapSpecies, attack_histogram, contour_flux_delay,
+                       feasibility_band, gate2_vs_delay, load_config,
+                       partial_attack_rates, simulate_pulse_train,
+                       sweep_delay)
 from aftergate import io
 from aftergate.config import _SCHEMA, default_config_path
 from aftergate.io import (read_arrhenius_csv, write_feasibility_csv,
@@ -166,9 +166,7 @@ class TestCsvFormats:
         assert lines[1] == "1,50,100,0.5"
 
     def test_sweep_header(self, tmp_path, det, env, sweep_grid):
-        from aftergate import AttackScenario, sweep_delay
-        pts = sweep_delay(det, AttackScenario(flux_full=80.0, env=env),
-                          sweep_grid[:5])
+        pts = sweep_delay(det, 80.0, sweep_grid[:5], env)
         path = tmp_path / "sweep.csv"
         write_sweep_csv(path, pts)
         header = path.read_text().splitlines()[0]
@@ -335,6 +333,14 @@ class TestColumnWriter:
             io._write_columns(tmp_path / "u.csv", ["a", "b"],
                               [np.zeros(2), np.zeros(3)])
 
+    def test_float32_column_formatted_as_float64(self, tmp_path):
+        # cast to float64 first: .12g text, and -0.0 keeps its sign while
+        # 0.0 does not gain one
+        io._write_columns(tmp_path / "f.csv", ["a"],
+                          [np.array([0.1, -0.0, 0.0], dtype=np.float32)])
+        assert (tmp_path / "f.csv").read_text() == \
+            "a\n" + format(float(np.float32(0.1)), ".12g") + "\n-0\n0\n"
+
     def test_column_not_1d_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="1-D"):
             io._write_columns(tmp_path / "m.csv", ["a", "b"],
@@ -346,8 +352,8 @@ def shipped_outputs(default_cfg):
     """Inputs of each CSV writer, computed on the shipped calibration."""
     cfg, det, env = default_cfg, default_cfg.detector, default_cfg.environment
     sc = cfg.values["scenario"]
-    scenario = AttackScenario(flux_full=sc["flux_full"], env=env)
-    sweep = sweep_delay(det, scenario, np.linspace(0.0, 240.0, 961))
+    sweep = sweep_delay(det, sc["flux_full"], np.linspace(0.0, 240.0, 961),
+                        env)
     sec = cfg.values["contour"]
     fluxes = np.linspace(sec["flux_min"], sec["flux_max"], sec["flux_points"])
     delays = np.linspace(sec["delay_min"], sec["delay_max"],
@@ -358,13 +364,12 @@ def shipped_outputs(default_cfg):
     few, gap = np.geomspace(0.5, 120.0, 7), np.linspace(20.0, 900.0, 23)
     q_gap = contour_flux_delay(replace(det, dark_count_prob=0.0), few, gap)
     assert np.isnan(q_gap).any() and np.isfinite(q_gap).any()
-    attack = AttackScenario(flux_full=sc["flux_full"], delay=153.25, env=env)
     return {  # writer name -> argument tuples
         "histogram": [
             (simulate_pulse_train(det, [(0, PulseSpec(sc["signal_flux"]))],
                                   env, trials=20000, seed=7, window=12,
                                   dead_time=50000.0),),
-            (attack_histogram(det, attack, "half", 12),)],
+            (attack_histogram(det, sc["flux_full"] / 2.0, 153.25, env, 12),)],
         "sweep": [(sweep,)],
         "contour": [(fluxes, delays,
                      contour_flux_delay(det, fluxes, delays)),

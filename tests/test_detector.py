@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
                        click_probability, trap_lifetime, trap_loading)
-from aftergate.attack import (AttackScenario, attack_histogram,
-                              contour_flux_delay, gate2_vs_delay, sweep_delay)
+from aftergate.attack import (attack_histogram, contour_flux_delay,
+                              gate2_vs_delay, sweep_delay)
 from aftergate.detector import (DetectorParams, GateTiming,
                                 click_probability_array,
                                 delayed_click_probability_arrays,
                                 delayed_release_mean, poisson_tail)
-from aftergate.feasibility import rescale_detector
+from aftergate.feasibility import feasibility_band, rescale_detector
 from aftergate.montecarlo import (analytic_gate_probabilities,
                                   simulate_pulse_train)
 
@@ -329,8 +329,7 @@ def _last_pulse(d):
     lambda det, env, d: delayed_release_mean(det, 80.0, d, env),
     lambda det, env, d: delayed_click_probability_arrays(det, 80.0, d, env),
     lambda det, env, d: click_probability(det, _last_pulse(d)),
-    lambda det, env, d: sweep_delay(
-        det, AttackScenario(flux_full=80.0, env=env), d),
+    lambda det, env, d: sweep_delay(det, 80.0, d, env),
     lambda det, env, d: gate2_vs_delay(det, 80.0, d, env),
     lambda det, env, d: contour_flux_delay(det, [20.0, 80.0], d),
     lambda det, env, d: analytic_gate_probabilities(
@@ -353,9 +352,8 @@ def test_kernels_reject_delay_outside_period(det, env, kernel, clocks,
     lambda det, env, p: click_probability(det, p),
     lambda det, env, p: analytic_gate_probabilities(det, [(0, p)], env,
                                                     window=4),
-    lambda det, env, p: attack_histogram(
-        det, AttackScenario(flux_full=p.mean_flux, delay=p.delay, env=env),
-        "full", gates=4),
+    lambda det, env, p: attack_histogram(det, p.mean_flux, p.delay, env,
+                                         gates=4),
     lambda det, env, p: simulate_pulse_train(det, [(0, p)], env, trials=10,
                                              seed=1, window=4),
 ], ids=["click_probability", "analytic_gate_probabilities",
@@ -416,6 +414,15 @@ class TestProfiles:
         with pytest.raises(ValueError, match="gating_frequency must be > 0"):
             GateTiming(gating_frequency=np.array([[1e9], [0.0]]),
                        gate_width=166.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_frequency_named(self, det, env, bad):
+        # not blamed on the width, whose period it would make NaN or 0
+        match = r"^gating_frequency must be finite and > 0$"
+        with pytest.raises(ValueError, match=match):
+            GateTiming(gating_frequency=bad, gate_width=166.0)
+        with pytest.raises(ValueError, match=match):
+            feasibility_band([1e9, bad], env, det)
 
     def test_gate_period_derived_exactly(self):
         timing = GateTiming(gating_frequency=1e9, gate_width=166.0)

@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aftergate import (AttackScenario, Environment, TrapKind, TrapSpecies,
-                       attack_qber_at_frequency, feasibility_band, noise_qber,
-                       rescale_detector, sweep_delay)
+from aftergate import (Environment, TrapKind, TrapSpecies,
+                       attack_qber_at_frequency, feasibility_band,
+                       noise_qber, rescale_detector, sweep_delay)
 from aftergate.feasibility import classify, suitable_interval
 
 
@@ -54,8 +54,7 @@ class TestAttackQber:
         q = attack_qber_at_frequency(d, env)
         assert q < 0.11
         delays = np.linspace(0.0, 1.05 * d.timing.gate_width, 512)
-        pts = sweep_delay(d, AttackScenario(flux_full=20.0, flux_half=10.0,
-                                            env=env), delays)
+        pts = sweep_delay(d, 20.0, delays, env)
         bare_dip = np.nanmin([p.q_target for p in pts])
         assert q == pytest.approx(bare_dip, abs=0.02)
 

@@ -146,6 +146,16 @@ def test_heatmap_ticks_label_grid_values_at_cell_centres(tmp_path,
     assert y_labels[-1][0] - 3 == pytest.approx(_MT + ch / 2, abs=0.1)
 
 
+def test_bar_chart_labels_every_bar_slot(tmp_path):
+    # a gate with no counts draws no bar but keeps its x label
+    svg.bar_chart(tmp_path / "b.svg", ["1", "2", "3"], [5, 0, 2], "t", "x",
+                  "y")
+    text = (tmp_path / "b.svg").read_text()
+    labels = re.findall(r'font-size="10">([^<]*)</text>', text)
+    assert labels == ["1", "2", "3"]
+    assert len(re.findall(r'<rect x=', text)) == 2
+
+
 def test_heatmap_rejects_axes_that_do_not_match_the_matrix(tmp_path):
     with pytest.raises(ValueError, match="xs and ys"):
         svg.heatmap(tmp_path / "h.svg", np.arange(4), np.arange(3),

@@ -1,5 +1,6 @@
 """The demos and the benchmark tracer against the current package."""
 
+import ast
 import importlib
 import math
 import os
@@ -53,6 +54,33 @@ def test_tracer_targets_resolve():
     missing = [f"{module}.{attr}" for module, attr, *_ in _tracer_targets()
                if not hasattr(importlib.import_module(module), attr)]
     assert not missing
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.value.id for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)}
+    return imported - read - {"annotations"}
+
+
+MODULES = sorted(p for p in Path(SRC, "aftergate").glob("*.py")
+                 if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_unused_imports_only_serve_the_tracer(path):
+    # an import nothing reads is dead code, unless the benchmark tracer
+    # wraps that name in this module
+    wrapped = {attr for module, attr, *_ in _tracer_targets()
+               if module == f"aftergate.{path.stem}"}
+    assert _unused_imports(path) <= wrapped
 
 
 def test_traced_chunks_cover_every_trial(tmp_path, monkeypatch):
