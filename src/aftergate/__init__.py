@@ -17,7 +17,6 @@ from .characterization import (
     ArrheniusFit,
     GateHistogram,
     LifetimeExtractionError,
-    LifetimePoint,
     arrhenius_fit,
     build_histogram,
     extract_lifetime,

@@ -185,7 +185,7 @@ def sub_threshold_region(qber_matrix: np.ndarray,
 def binary_entropy(q) -> float:
     """Binary entropy in bits, with 0 log 0 = 0."""
     arr = np.asarray(q, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValueError("binary_entropy domain is [0, 1]")
     log_q = np.log2(arr, out=np.zeros_like(arr), where=arr > 0)
     log_p = np.log2(1 - arr, out=np.zeros_like(arr), where=arr < 1)

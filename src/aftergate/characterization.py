@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,16 +33,17 @@ class GateHistogram:
     def __post_init__(self):
         counts = np.asarray(self.gate_counts, dtype=float)
         object.__setattr__(self, "gate_counts", counts)
-        if np.any(counts < 0):
+        if not np.all(counts >= 0):
             raise ValueError("gate counts must be >= 0")
         if self.trials is not None:
             if self.trials < 1:
                 raise ValueError("trials must be >= 1")
             if np.any(counts > self.trials):
                 raise ValueError("counts cannot exceed trials")
-        if self.background_estimate is not None and self.background_estimate < 0:
+        if not (self.background_estimate is None
+                or self.background_estimate >= 0):
             raise ValueError("background_estimate must be >= 0")
-        if self.gate_period <= 0:
+        if not self.gate_period > 0:
             raise ValueError("gate_period must be > 0")
 
     @property
@@ -53,19 +54,6 @@ class GateHistogram:
 
     def __len__(self) -> int:
         return len(self.gate_counts)
-
-
-@dataclass(frozen=True)
-class LifetimePoint:
-    temperature: float  # kelvin
-    lifetime: float  # ps
-    excess_bias_fraction: float
-
-    def __post_init__(self):
-        if self.lifetime <= 0:
-            raise ValueError("lifetime must be > 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
 
 
 @dataclass(frozen=True)
@@ -164,23 +152,26 @@ def extract_lifetime(hist: GateHistogram,
     return separation / math.log(c_a / c_b)
 
 
-def arrhenius_fit(points: Sequence[LifetimePoint]) -> ArrheniusFit:
+def arrhenius_fit(temperatures, lifetimes) -> ArrheniusFit:
     """Least-squares Arrhenius line through ln(lifetime) vs 1/T.
 
-    The slope times the Boltzmann constant is the activation energy; the
-    intercept exponentiates to the lifetime prefactor. All points must share
-    the same excess bias setting, since the barrier height depends on it.
+    temperatures (K) and lifetimes (ps) are 1-D arrays of equal length
+    whose values are finite and > 0. The slope times the Boltzmann constant
+    is the activation energy; the intercept exponentiates to the lifetime
+    prefactor.
     """
-    if len(points) < 2:
-        raise ValueError("need at least 2 lifetime points")
-    temps = np.array([p.temperature for p in points])
+    temps = np.asarray(temperatures, dtype=float)
+    taus = np.asarray(lifetimes, dtype=float)
+    if temps.ndim != 1 or temps.shape != taus.shape:
+        raise ValueError("temperatures and lifetimes must be 1-D arrays "
+                         "of equal length")
+    for name, values in (("temperatures", temps), ("lifetimes", taus)):
+        if not np.all((values > 0) & (values < np.inf)):
+            raise ValueError(f"{name} must be finite and > 0")
     if len(set(np.round(temps, 9))) < 2:
         raise ValueError("need at least 2 distinct temperatures")
-    biases = {p.excess_bias_fraction for p in points}
-    if len(biases) > 1:
-        raise ValueError("all points must share one excess_bias_fraction")
     x = 1.0 / temps
-    y = np.log([p.lifetime for p in points])
+    y = np.log(taus)
     design = np.column_stack([x, np.ones_like(x)])
     (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - (slope * x + intercept)

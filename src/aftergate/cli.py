@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, help=help_text)
     sub.choices["arrhenius"].add_argument(
         "--input", type=Path, required=True,
-        help="CSV with temperature_k,lifetime_ps,excess_bias")
+        help="CSV with temperature_k,lifetime_ps columns")
     return parser
 
 
@@ -97,19 +97,18 @@ def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_arrhenius(cfg: RunConfig, args, out: Path) -> None:
-    points = io.read_arrhenius_csv(args.input)
-    fit = arrhenius_fit(points)
+    temps, lifetimes = io.read_arrhenius_csv(args.input)
+    fit = arrhenius_fit(temps, lifetimes)
     io.write_json(out / "arrhenius_fit.json", {
         "activation_energy_ev": fit.activation_energy,
         "tau0_ps": fit.lifetime_prefactor,
         "residual": fit.residual_norm,
     })
-    inv_t = [1.0 / p.temperature for p in points]
-    ln_tau = [float(np.log(p.lifetime)) for p in points]
-    fit_y = [fit.activation_energy / K_BOLTZMANN_EV * x
-             + float(np.log(fit.lifetime_prefactor)) for x in inv_t]
+    inv_t = 1.0 / temps
+    fit_y = (fit.activation_energy / K_BOLTZMANN_EV * inv_t
+             + np.log(fit.lifetime_prefactor))
     svg.line_chart(out / "arrhenius.svg", inv_t,
-                   {"ln(lifetime)": ln_tau, "fit": fit_y},
+                   {"ln(lifetime)": np.log(lifetimes), "fit": fit_y},
                    "Arrhenius fit", "1/T (1/K)", "ln(lifetime / ps)")
     print(f"activation energy {fit.activation_energy * 1e3:.2f} meV, "
           f"prefactor {fit.lifetime_prefactor:.2f} ps, "

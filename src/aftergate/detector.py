@@ -75,13 +75,13 @@ class TrapSpecies:
     def __post_init__(self):
         if self.activation_energy < 0 or not math.isfinite(self.activation_energy):
             raise ValueError("activation_energy must be finite and >= 0")
-        if self.lifetime_prefactor <= 0:
+        if not self.lifetime_prefactor > 0:
             raise ValueError("lifetime_prefactor must be > 0")
         if not (0.0 <= self.capture_fraction_photo <= 1.0):
             raise ValueError("capture_fraction_photo must lie in [0, 1]")
-        if self.capture_per_avalanche_charge < 0:
+        if not self.capture_per_avalanche_charge >= 0:
             raise ValueError("capture_per_avalanche_charge must be >= 0")
-        if self.retention_strength < 0:
+        if not self.retention_strength >= 0:
             raise ValueError("retention_strength must be >= 0")
         for kind, names in CAPTURE_PARAMS.items():
             for name in names:
@@ -132,9 +132,14 @@ class GateTiming:
         return float(d)
 
 
-def _raised_cosine(u):
-    """Smooth 1 -> 0 ramp over u in [0, 1]."""
-    return 0.5 * (1.0 + np.cos(np.pi * np.clip(u, 0.0, 1.0)))
+def _flat_top(delay, flat, edge, floor):
+    """Intra-gate profile: 1 on [0, flat), a raised-cosine fall to floor
+    over the next `edge` ps, then floor; floor before the gate opens."""
+    t = np.asarray(delay, dtype=float)
+    fall = 0.5 * (1.0 + np.cos(np.pi * np.clip((t - flat) / edge, 0.0, 1.0)))
+    # an explicit 1.0: floor + (1 - floor) can round away from 1
+    out = np.where(t < flat, 1.0, floor + (1.0 - floor) * fall)
+    return np.where(t < 0.0, floor, out)
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,7 @@ class DetectorParams:
     def __post_init__(self):
         if not (0.0 <= self.detection_efficiency <= 1.0):
             raise ValueError("detection_efficiency must lie in [0, 1]")
-        if self.discrimination_threshold <= 0:
+        if not self.discrimination_threshold > 0:
             raise ValueError("discrimination_threshold must be > 0")
         if not (0.0 <= self.dark_count_prob < 1.0):
             raise ValueError("dark_count_prob must lie in [0, 1)")
@@ -188,20 +193,16 @@ class DetectorParams:
             raise ValueError("interface_trap must have kind INTERFACE")
         if self.multiplication_trap.kind is not TrapKind.MULTIPLICATION:
             raise ValueError("multiplication_trap must have kind MULTIPLICATION")
-        if self.afterpulse_spread_gates < 1:
+        if not self.afterpulse_spread_gates >= 1:
             raise ValueError("afterpulse_spread_gates must be >= 1")
 
     # -- intra-gate profiles (vectorized over delay) --
 
     def trigger_shape(self, delay):
         """Normalized trigger shape, 1 on the flat top, 0 beyond the gate."""
-        t = np.asarray(delay, dtype=float)
         w = self.timing.gate_width
-        flat = self.trigger_flat_fraction * w
-        edge = (1.0 - self.trigger_flat_fraction) * w
-        out = np.where(t < flat, 1.0,
-                       np.where(t < w, _raised_cosine((t - flat) / edge), 0.0))
-        return np.where(t < 0.0, 0.0, out)
+        return _flat_top(delay, self.trigger_flat_fraction * w,
+                         (1.0 - self.trigger_flat_fraction) * w, 0.0)
 
     def trigger_probability(self, delay):
         """Physical per-carrier avalanche trigger probability."""
@@ -209,17 +210,9 @@ class DetectorParams:
 
     def gain(self, delay):
         """Normalized avalanche gain; gain_floor outside the gate window."""
-        t = np.asarray(delay, dtype=float)
         w = self.timing.gate_width
-        flat = self.gain_flat_fraction * w
-        edge = self.gain_edge_fraction * w
-        inner = np.where(
-            t < flat, 1.0,
-            np.where(t < flat + edge,
-                     self.gain_floor + (1.0 - self.gain_floor)
-                     * _raised_cosine((t - flat) / edge),
-                     self.gain_floor))
-        return np.where(t < 0.0, self.gain_floor, inner)
+        return _flat_top(delay, self.gain_flat_fraction * w,
+                         self.gain_edge_fraction * w, self.gain_floor)
 
     def threshold_count(self, delay):
         """Avalanches needed for a click; ties at exact equality click."""
@@ -276,10 +269,11 @@ def poisson_tail(k, lam) -> np.ndarray:
         raise ValueError("Poisson mean must be >= 0")
     down = lam >= k
     first = np.where(down, k - 1.0, k)
-    log_fact = np.array([math.lgamma(n + 1.0)
-                         for n in range(int(first.max(initial=0)) + 1)])
+    distinct, index = np.unique(first, return_inverse=True)
+    log_fact = np.array([math.lgamma(n + 1.0) for n in distinct.tolist()])
     with np.errstate(divide="ignore"):
-        pmf = np.exp(first * np.log(lam) - lam - log_fact[first.astype(int)])
+        pmf = np.exp(first * np.log(lam) - lam
+                     - log_fact[index].reshape(first.shape))
     out = np.empty(k.shape)
     k_d, lam_d = k[down], lam[down]
     out[down] = 1.0 - _series(pmf[down], lambda j: (k_d - j) / lam_d)

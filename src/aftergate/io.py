@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .characterization import GateHistogram, LifetimePoint
+from .characterization import GateHistogram
 
 
 def write_text(path, text: str) -> None:
@@ -92,22 +92,18 @@ def write_feasibility_csv(path, band) -> None:
                         "classification"], band)
 
 
-def read_arrhenius_csv(path) -> list[LifetimePoint]:
-    """Columns: temperature_k,lifetime_ps,excess_bias."""
-    points = []
+def read_arrhenius_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """(temperatures, lifetimes) from the temperature_k and lifetime_ps
+    columns; any other column is ignored."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"temperature_k", "lifetime_ps", "excess_bias"}
+        reader = csv.DictReader(fh, restval="")
+        required = {"temperature_k", "lifetime_ps"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(
                 f"arrhenius CSV needs columns {sorted(required)}")
-        for row in reader:
-            points.append(LifetimePoint(
-                temperature=float(row["temperature_k"]),
-                lifetime=float(row["lifetime_ps"]),
-                excess_bias_fraction=float(row["excess_bias"]),
-            ))
-    return points
+        rows = [(float(row["temperature_k"]), float(row["lifetime_ps"]))
+                for row in reader]
+    return tuple(np.array(rows, dtype=float).reshape(-1, 2).T)
 
 
 def write_json(path, payload: dict) -> None:

@@ -122,10 +122,11 @@ def simulate_pulse_train(det: DetectorParams,
                          env: Environment,
                          trials: int,
                          seed: int,
-                         window: int | None = None,
+                         window: int,
                          workers: int = 1,
                          dead_time: float = 0.0) -> GateHistogram:
-    """Sample `trials` repetitions of a pulse train and histogram the clicks.
+    """Sample `trials` repetitions of a pulse train and histogram the clicks
+    of its first `window` gates.
 
     pulses is a sequence of (gate_index, PulseSpec) with strictly increasing
     gate indices. Each trial's clicks pass a non-paralyzable dead time (ps;
@@ -143,8 +144,6 @@ def simulate_pulse_train(det: DetectorParams,
     gates = [g for g, _ in pulses]
     if any(b <= a for a, b in zip(gates, gates[1:])):
         raise ValueError("pulse gate indices must be strictly increasing")
-    if window is None:
-        window = gates[-1] + 12
 
     tables = _chain_tables(analytic_gate_probabilities(det, pulses, env,
                                                        window),

@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from aftergate import (Environment, GateHistogram, LifetimePoint, PulseSpec,
-                       TrapKind, TrapSpecies, arrhenius_fit, attack_histogram,
+from aftergate import (Environment, GateHistogram, PulseSpec, TrapKind,
+                       TrapSpecies, arrhenius_fit, attack_histogram,
                        extract_lifetime, feasibility_band, key_rate,
                        load_config, partial_attack_rates, qber_target,
                        qber_with_dd, simulate_pulse_train, sweep_delay)
@@ -104,9 +104,8 @@ def test_criterion_5_lifetime_round_trip():
         worst = max(worst, abs(tau_hat - tau) / tau)
     assert worst < 0.01
 
-    points = [LifetimePoint(t, 50.0 * math.exp(0.030 / (KB * t)), 0.5)
-              for t in (223.15, 258.15, 293.15)]
-    fit = arrhenius_fit(points)
+    temps = np.array([223.15, 258.15, 293.15])
+    fit = arrhenius_fit(temps, 50.0 * np.exp(0.030 / (KB * temps)))
     assert fit.activation_energy == pytest.approx(0.030, rel=1e-9)
     assert fit.lifetime_prefactor == pytest.approx(50.0, rel=1e-9)
     assert fit.residual_norm < 1e-10

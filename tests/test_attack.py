@@ -325,6 +325,13 @@ class TestBinaryEntropy:
             binary_entropy(-0.1)
         with pytest.raises(ValueError):
             binary_entropy(1.1)
+        # a QBER with no detections must not read as a perfect key rate
+        with pytest.raises(ValueError):
+            binary_entropy(math.nan)
+        with pytest.raises(ValueError):
+            binary_entropy([0.1, math.nan])
+        with pytest.raises(ValueError):
+            key_rate(math.nan)
 
 
 class TestPartialAttack:

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aftergate import (Environment, GateHistogram, LifetimeExtractionError,
-                       LifetimePoint, PulseSpec, TrapKind, TrapSpecies,
-                       arrhenius_fit, build_histogram, extract_lifetime,
-                       trap_lifetime)
+                       PulseSpec, TrapKind, TrapSpecies, arrhenius_fit,
+                       build_histogram, extract_lifetime, trap_lifetime)
 from aftergate.characterization import dead_time_counts, estimate_background
 from aftergate.detector import DetectorParams, GateTiming
 from aftergate.montecarlo import analytic_gate_probabilities
@@ -154,6 +153,19 @@ def synth_decay_histogram(tau, gate_period=1000.0, amplitude=10000.0,
                          background_estimate=background)
 
 
+class TestGateHistogram:
+    @pytest.mark.parametrize("field, value, message", [
+        ("gate_counts", [1.0, math.nan], "gate counts"),
+        ("gate_period", math.nan, "gate_period"),
+        ("background_estimate", math.nan, "background_estimate")])
+    def test_nan_rejected(self, field, value, message):
+        # a NaN background once made extract_lifetime return NaN silently
+        args = {"gate_counts": [100.0, 50.0, 20.0], "trials": None,
+                "gate_period": 1000.0, "background_estimate": 1.0}
+        with pytest.raises(ValueError, match=message):
+            GateHistogram(**{**args, field: value})
+
+
 class TestExtractLifetime:
     def test_worked_integer_example(self):
         # C1 = 10000, C3 = 193, background 10: 2000 / ln(9990/183) = 500.02
@@ -251,49 +263,55 @@ class TestModelRoundTrip:
 
     def test_arrhenius_round_trip_within_two_percent(self):
         det = single_species_detector(ea=0.040, tau0=100.0)
-        points = []
-        for temp in (243.15, 268.15, 293.15):
+        temps = (243.15, 268.15, 293.15)
+        lifetimes = []
+        for temp in temps:
             env = Environment(temperature=temp)
             hist = analytic_decay_histogram(det, env)
-            points.append(LifetimePoint(
-                temperature=temp,
-                lifetime=extract_lifetime(hist, use_gates=(2, 4)),
-                excess_bias_fraction=0.5))
-        fit = arrhenius_fit(points)
+            lifetimes.append(extract_lifetime(hist, use_gates=(2, 4)))
+        fit = arrhenius_fit(temps, lifetimes)
         assert fit.activation_energy == pytest.approx(0.040, rel=0.02)
         assert fit.lifetime_prefactor == pytest.approx(100.0, rel=0.05)
 
 
 class TestArrheniusFit:
     def test_exact_two_point_fit(self):
-        pts = [LifetimePoint(t, 50.0 * math.exp(0.030 / (KB * t)), 0.5)
-               for t in (243.15, 293.15)]
-        fit = arrhenius_fit(pts)
+        temps = np.array([243.15, 293.15])
+        fit = arrhenius_fit(temps, 50.0 * np.exp(0.030 / (KB * temps)))
         assert fit.activation_energy == pytest.approx(0.030, rel=1e-10)
         assert fit.lifetime_prefactor == pytest.approx(50.0, rel=1e-10)
         assert fit.residual_norm < 1e-10
 
     def test_equal_lifetimes_give_zero_activation_energy(self):
-        pts = [LifetimePoint(t, 300.0, 0.5) for t in (223.15, 263.15, 293.15)]
-        fit = arrhenius_fit(pts)
+        fit = arrhenius_fit([223.15, 263.15, 293.15], [300.0] * 3)
         assert fit.activation_energy == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_data_residual_below_1e10_in_log_space(self):
-        pts = [LifetimePoint(t, 80.0 * math.exp(0.055 / (KB * t)), 0.5)
-               for t in (223.15, 243.15, 263.15, 283.15, 303.15)]
-        assert arrhenius_fit(pts).residual_norm < 1e-10
+        temps = np.array([223.15, 243.15, 263.15, 283.15, 303.15])
+        lifetimes = 80.0 * np.exp(0.055 / (KB * temps))
+        assert arrhenius_fit(temps, lifetimes).residual_norm < 1e-10
 
     def test_rejects_single_temperature(self):
-        pts = [LifetimePoint(293.15, 400.0, 0.5),
-               LifetimePoint(293.15, 410.0, 0.5)]
         with pytest.raises(ValueError):
-            arrhenius_fit(pts)
+            arrhenius_fit([293.15, 293.15], [400.0, 410.0])
+        with pytest.raises(ValueError):
+            arrhenius_fit([293.15], [400.0])
 
-    def test_rejects_mixed_excess_bias(self):
-        pts = [LifetimePoint(243.15, 500.0, 0.4),
-               LifetimePoint(293.15, 300.0, 0.6)]
-        with pytest.raises(ValueError):
-            arrhenius_fit(pts)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("column", ["temperatures", "lifetimes"])
+    def test_rejects_value_not_finite_and_positive(self, column, bad):
+        # 1/T = 0 for an infinite temperature: it used to fit silently
+        arrays = {"temperatures": [223.15, 293.15, 258.15],
+                  "lifetimes": [600.0, 300.0, 400.0]}
+        arrays[column][2] = bad
+        with pytest.raises(ValueError, match=f"{column} must be finite"):
+            arrhenius_fit(arrays["temperatures"], arrays["lifetimes"])
+
+    @pytest.mark.parametrize("temps, lifetimes", [
+        ([223.15, 293.15], [600.0]), ([[223.15, 293.15]], [[600.0, 300.0]])])
+    def test_rejects_unequal_or_not_1d(self, temps, lifetimes):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            arrhenius_fit(temps, lifetimes)
 
     def test_noisy_recovery_tolerance(self):
         # tolerance pre-calibrated: 5 points over 223-293 K with 5%
@@ -306,9 +324,7 @@ class TestArrheniusFit:
         for _ in range(100):
             noisy = tau0 * np.exp(ea_true / (KB * temps)) \
                 * np.exp(rng.normal(0.0, 0.05, size=temps.size))
-            pts = [LifetimePoint(t, lt, 0.5)
-                   for t, lt in zip(temps, noisy)]
-            fit = arrhenius_fit(pts)
+            fit = arrhenius_fit(temps, noisy)
             if abs(fit.activation_energy - ea_true) / ea_true < 0.15:
                 hits += 1
         assert hits >= 95

@@ -38,6 +38,29 @@ def run(tmp_path, *args, trials=20000, seed=3):
                  "--seed", str(seed), *FAST, *args])
 
 
+def child_env():
+    """The environment for a child Python that imports this aftergate."""
+    src = str(Path(aftergate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_child(argv, address_space=None, timeout=60):
+    """cli.main(argv) in a fresh process. Its output is captured at the
+    file descriptors, so lines that native code writes there count too.
+    address_space (bytes) limits that process alone; one BLAS thread keeps
+    the library's own reservation small."""
+    code = "import resource, sys\n"
+    if address_space:
+        code += (f"resource.setrlimit(resource.RLIMIT_AS, "
+                 f"({address_space}, {address_space}))\n")
+    code += ("from aftergate.cli import main\n"
+             f"sys.exit(main({[str(a) for a in argv]!r}))\n")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=timeout,
+                          env={**child_env(), "OPENBLAS_NUM_THREADS": "1"})
+
+
 class TestHistogramCommand:
     def test_writes_files_gate1_dominant(self, tmp_path):
         assert run(tmp_path, "histogram") == 0
@@ -63,9 +86,9 @@ class TestHistogramCommand:
 class TestArrheniusCommand:
     def test_exact_fit(self, tmp_path):
         pts = tmp_path / "pts.csv"
-        lines = ["temperature_k,lifetime_ps,excess_bias"]
+        lines = ["temperature_k,lifetime_ps"]
         for t in (223.15, 258.15, 293.15):
-            lines.append(f"{t},{50.0 * math.exp(0.030 / (KB * t))},0.5")
+            lines.append(f"{t},{50.0 * math.exp(0.030 / (KB * t))}")
         pts.write_text("\n".join(lines) + "\n")
         assert run(tmp_path, "arrhenius", "--input", str(pts)) == 0
         fit = json.loads((tmp_path / "arrhenius_fit.json").read_text())
@@ -76,10 +99,41 @@ class TestArrheniusCommand:
 
     def test_single_temperature_is_numerical_failure(self, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
-        pts.write_text("temperature_k,lifetime_ps,excess_bias\n"
-                       "293.15,480.0,0.5\n293.15,500.0,0.5\n")
+        pts.write_text("temperature_k,lifetime_ps\n"
+                       "293.15,480.0\n293.15,500.0\n")
         assert run(tmp_path, "arrhenius", "--input", str(pts)) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_other_columns_change_no_output_byte(self, tmp_path):
+        rows = [(223.15, 900.5), (258.15, 610.25), (293.15, 480.0)]
+        plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+        plain.write_text("temperature_k,lifetime_ps\n"
+                         + "".join(f"{t},{tau}\n" for t, tau in rows))
+        extra.write_text("note,temperature_k,lifetime_ps,bias\n"
+                         + "".join(f"x,{t},{tau},0.5\n" for t, tau in rows))
+        for name, pts in (("plain", plain), ("extra", extra)):
+            assert run(tmp_path / name, "arrhenius", "--input", str(pts)) == 0
+        for out in ("arrhenius_fit.json", "arrhenius.svg"):
+            assert (tmp_path / "plain" / out).read_bytes() == \
+                (tmp_path / "extra" / out).read_bytes()
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("column", ["temperature", "lifetime"])
+    def test_bad_value_fails_on_one_line(self, tmp_path, column, bad):
+        # 1/T = 0 for an infinite temperature, which used to fit silently;
+        # a NaN reached LAPACK, which wrote six lines to fd 1 itself
+        rows = {"temperature": ["223.15", "293.15", "258.15"],
+                "lifetime": ["600", "300", "400"]}
+        rows[column][2] = bad
+        pts = tmp_path / "pts.csv"
+        pts.write_text("temperature_k,lifetime_ps\n" + "".join(
+            f"{t},{tau}\n" for t, tau in zip(*rows.values())))
+        out = tmp_path / "out"
+        proc = run_child(["--out", out, "arrhenius", "--input", pts])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_input_is_config_error(self, tmp_path):
         assert run(tmp_path, "arrhenius", "--input",
@@ -406,6 +460,14 @@ class TestErrorPaths:
         assert main(["--out", str(tmp_path), "--seed", str(2 ** 64 - 1),
                      "--trials", "1000", "histogram"]) == 0
 
+    def test_huge_discrimination_threshold_runs(self, tmp_path):
+        # threshold counts reach 1e8 here; poisson_tail once tabulated
+        # lgamma over every integer below them and ran out of memory
+        proc = run_child(["--out", tmp_path, "--set",
+                          "detector.discrimination_threshold=1e7", "sweep"],
+                         address_space=3 << 30)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("exc", [
         MemoryError("Unable to allocate 745. GiB for an array with shape "
                     "(100000000000,) and data type float64"),
@@ -437,12 +499,9 @@ class TestErrorPaths:
 
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "logging"])
 def test_import_does_not_load(module):
-    src = str(Path(aftergate.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, aftergate, aftergate.cli; "
             "print(sorted(m for m in sys.modules "
             f"if m == {module!r} or m.startswith({module + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
+                         capture_output=True, text=True, env=child_env())
     assert out.stdout.strip() == "[]"

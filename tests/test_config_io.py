@@ -71,8 +71,7 @@ class TestConfig:
     def test_omitted_optional_keys_take_dataclass_defaults(self, tmp_path):
         required = "\n".join(
             line for line in MINIMAL.splitlines()
-            if not line.startswith(("capture_", "retention_",
-                                    "excess_bias_fraction")))
+            if not line.startswith(("capture_", "retention_")))
         path = tmp_path / "run.ini"
         path.write_text(required)
         cfg = load_config(path)
@@ -185,12 +184,27 @@ class TestCsvFormats:
 
     def test_arrhenius_csv_roundtrip(self, tmp_path):
         path = tmp_path / "pts.csv"
-        path.write_text("temperature_k,lifetime_ps,excess_bias\n"
-                        "293.15,480.0,0.5\n243.15,690.0,0.5\n")
-        points = read_arrhenius_csv(path)
-        assert len(points) == 2
-        assert points[0].temperature == 293.15
-        assert points[1].lifetime == 690.0
+        path.write_text("temperature_k,lifetime_ps\n"
+                        "293.15,480.0\n243.15,690.0\n")
+        temps, lifetimes = read_arrhenius_csv(path)
+        assert len(temps) == len(lifetimes) == 2
+        assert temps[0] == 293.15
+        assert lifetimes[1] == 690.0
+
+    def test_arrhenius_csv_ignores_other_columns(self, tmp_path):
+        path = tmp_path / "pts.csv"
+        path.write_text("note,lifetime_ps,bias,temperature_k\n"
+                        "a,480.0,0.5,293.15\nb,690.0,0.4,243.15\n")
+        temps, lifetimes = read_arrhenius_csv(path)
+        assert temps.tolist() == [293.15, 243.15]
+        assert lifetimes.tolist() == [480.0, 690.0]
+
+    def test_arrhenius_csv_short_row_is_value_error(self, tmp_path):
+        # a missing cell used to reach float(None), a TypeError
+        path = tmp_path / "short.csv"
+        path.write_text("temperature_k,lifetime_ps\n293.15,480.0\n243.15\n")
+        with pytest.raises(ValueError):
+            read_arrhenius_csv(path)
 
     def test_arrhenius_csv_requires_columns(self, tmp_path):
         path = tmp_path / "bad.csv"

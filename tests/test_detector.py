@@ -182,6 +182,15 @@ class TestPoissonTail:
         with pytest.raises(ValueError):
             poisson_tail(1, -0.5)
 
+    def test_grid_equals_elementwise_evaluation(self):
+        # first terms are tabulated once per distinct value, then scattered
+        k = np.array([[1.0], [3.0], [3.0], [200.0]])
+        lam = np.array([0.0, 2.0, 3.0, 40.0])
+        grid = poisson_tail(k, lam)
+        assert grid.shape == (4, 4)
+        assert grid.tolist() == [[float(poisson_tail(ki, li)) for li in lam]
+                                 for ki in k[:, 0]]
+
 
 class TestTrapLoading:
     def test_zero_flux_zero_populations(self):
@@ -441,6 +450,20 @@ class TestProfiles:
             self, kind, unread):
         with pytest.raises(ValueError, match=next(iter(unread))):
             TrapSpecies(kind, 0.04, 100.0, **unread)
+
+    @pytest.mark.parametrize("owner, field", [
+        ("multiplication_trap", "lifetime_prefactor"),
+        ("multiplication_trap", "capture_per_avalanche_charge"),
+        ("multiplication_trap", "retention_strength"),
+        (None, "discrimination_threshold"),
+        (None, "afterpulse_spread_gates")])
+    def test_nan_parameter_rejected(self, det, owner, field):
+        # a NaN once passed every `<` bound and made every QBER NaN
+        with pytest.raises(ValueError, match=field):
+            if owner is None:
+                replace(det, **{field: math.nan})
+            else:
+                replace(getattr(det, owner), **{field: math.nan})
 
 
 class TestDefaultCalibration:

@@ -81,7 +81,8 @@ class TestEdgeCases:
 
     def test_zero_trials_rejected(self, det, env):
         with pytest.raises(ValueError):
-            simulate_pulse_train(det, pulses(), env, trials=0, seed=1)
+            simulate_pulse_train(det, pulses(), env, trials=0, seed=1,
+                                 window=8)
 
     def test_window_too_small_rejected(self, det, env):
         with pytest.raises(ValueError):
@@ -96,7 +97,8 @@ class TestEdgeCases:
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_uint64_rejected(self, det, env, seed):
         with pytest.raises(ValueError, match="seed"):
-            simulate_pulse_train(det, pulses(), env, trials=10, seed=seed)
+            simulate_pulse_train(det, pulses(), env, trials=10, seed=seed,
+                                 window=8)
 
     @pytest.mark.parametrize("gate, window", [(4, 4), (5, 4), (-1, 4)])
     def test_pulse_gate_outside_window_rejected(self, det, env, gate, window):
@@ -110,7 +112,7 @@ class TestEdgeCases:
     def test_negative_dead_time_rejected(self, det, env):
         with pytest.raises(ValueError):
             simulate_pulse_train(det, pulses(), env, trials=10, seed=1,
-                                 dead_time=-1.0)
+                                 window=8, dead_time=-1.0)
 
 
 class TestDeadTime:
