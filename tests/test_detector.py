@@ -458,12 +458,10 @@ class TestProfiles:
         (None, "discrimination_threshold"),
         (None, "afterpulse_spread_gates")])
     def test_nan_parameter_rejected(self, det, owner, field):
-        # a NaN once passed every `<` bound and made every QBER NaN
+        # a NaN once passed its `<` bound and made the model's outputs NaN
+        params = det if owner is None else getattr(det, owner)
         with pytest.raises(ValueError, match=field):
-            if owner is None:
-                replace(det, **{field: math.nan})
-            else:
-                replace(getattr(det, owner), **{field: math.nan})
+            replace(params, **{field: math.nan})
 
 
 class TestDefaultCalibration:
