@@ -8,16 +8,14 @@ ln(lifetime) on 1/T recovers the activation energy.
 
 from dataclasses import replace
 
-from aftergate import (Environment, GateHistogram, PulseSpec, TrapKind,
-                       TrapSpecies, arrhenius_fit, extract_lifetime,
-                       load_config, trap_lifetime)
+from aftergate import (Environment, PulseSpec, TrapSpecies, arrhenius_fit,
+                       extract_lifetime, load_config, trap_lifetime)
 from aftergate.montecarlo import analytic_gate_probabilities
 
 cfg = load_config()
 det = replace(cfg.detector, dark_count_prob=0.0, afterpulse_prob=0.0,
               multiplication_trap=TrapSpecies(
-                  TrapKind.MULTIPLICATION, 0.110, 8.0,
-                  capture_per_avalanche_charge=0.0))
+                  0.110, 8.0, capture_per_avalanche_charge=0.0))
 
 temps = (243.15, 258.15, 273.15, 293.15)
 lifetimes = []
@@ -26,10 +24,8 @@ for temp in temps:
     env = Environment(temperature=temp)
     probs = analytic_gate_probabilities(det, [(0, PulseSpec(0.1, 0.0))],
                                         env, 10)
-    hist = GateHistogram(gate_counts=probs, trials=None,
-                         gate_period=det.timing.gate_period,
-                         background_estimate=0.0)
-    tau_hat = extract_lifetime(hist, use_gates=(2, 4))
+    tau_hat = extract_lifetime(probs, det.timing.gate_period,
+                               use_gates=(2, 4), background=0.0)
     tau_true = trap_lifetime(det.interface_trap, env)
     lifetimes.append(tau_hat)
     print(f"  T = {temp:6.2f} K   extracted {tau_hat:7.2f} ps   "

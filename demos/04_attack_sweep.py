@@ -39,8 +39,7 @@ hist_h = attack_histogram(det, flux / 2.0, points[i].delay, env, gates=6)
 print("\nper-gate probabilities at the dip delay:")
 print(f"{'gate':>5} {'full':>10} {'half':>10}")
 for g in range(6):
-    print(f"{g + 1:5d} {hist_f.gate_counts[g]:10.6f} "
-          f"{hist_h.gate_counts[g]:10.6f}")
+    print(f"{g + 1:5d} {hist_f[g]:10.6f} {hist_h[g]:10.6f}")
 print("\nfor half power the adjacent gate outweighs the target gate: those")
 print("delayed clicks are random bits, and they betray the eavesdropper.")
 

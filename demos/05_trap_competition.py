@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from aftergate import TrapKind, TrapSpecies, gate2_vs_delay, load_config
+from aftergate import TrapSpecies, gate2_vs_delay, load_config
 from aftergate.io import write_gate2_csv
 from aftergate.svg import line_chart
 
@@ -25,11 +25,10 @@ delays = np.linspace(lo, 0.96 * det.timing.gate_period, 300)
 
 both = gate2_vs_delay(det, 80.0, delays, env)
 only_if = gate2_vs_delay(
-    replace(det, multiplication_trap=TrapSpecies(
-        TrapKind.MULTIPLICATION, 0.110, 8.0)), 80.0, delays, env)
+    replace(det, multiplication_trap=TrapSpecies(0.110, 8.0)),
+    80.0, delays, env)
 only_mult = gate2_vs_delay(
-    replace(det, interface_trap=TrapSpecies(
-        TrapKind.INTERFACE, 0.040, 100.0)), 80.0, delays, env)
+    replace(det, interface_trap=TrapSpecies(0.040, 100.0)), 80.0, delays, env)
 
 p_both = np.array([p for _, p in both])
 i_min = int(np.argmin(p_both))

@@ -7,7 +7,6 @@ from .detector import (
     Environment,
     GateTiming,
     PulseSpec,
-    TrapKind,
     TrapSpecies,
     click_probability,
     trap_lifetime,
@@ -15,7 +14,6 @@ from .detector import (
 )
 from .characterization import (
     ArrheniusFit,
-    GateHistogram,
     LifetimeExtractionError,
     arrhenius_fit,
     build_histogram,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .characterization import GateHistogram
 from .detector import (DetectorParams, Environment, PulseSpec,
                        click_probability_array,
                        delayed_click_probability_arrays)
@@ -132,18 +131,16 @@ def sweep_delay(det: DetectorParams, flux: float, delays,
 
 
 def attack_histogram(det: DetectorParams, flux: float, delay: float,
-                     env: Environment, gates: int) -> GateHistogram:
+                     env: Environment, gates: int) -> np.ndarray:
     """Analytic per-gate detection probabilities of one pulse of `flux`
-    photons at `delay`.
+    photons at `delay`, as a float array over `gates` gates.
 
     Gate 1 is the target gate; later gates carry trap release plus dark and
     flat afterpulse background.
     """
     from .montecarlo import analytic_gate_probabilities
     pulse = PulseSpec(mean_flux=flux, delay=delay)
-    probs = analytic_gate_probabilities(det, [(0, pulse)], env, gates)
-    return GateHistogram(gate_counts=probs, trials=None,
-                         gate_period=det.timing.gate_period)
+    return analytic_gate_probabilities(det, [(0, pulse)], env, gates)
 
 
 def gate2_vs_delay(det: DetectorParams, flux: float, delays,

@@ -22,41 +22,6 @@ class LifetimeExtractionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GateHistogram:
-    """Click counts (or analytic probabilities) over consecutive gates."""
-
-    gate_counts: np.ndarray
-    trials: int | None
-    gate_period: float  # ps
-    background_estimate: float | None = None
-
-    def __post_init__(self):
-        counts = np.asarray(self.gate_counts, dtype=float)
-        object.__setattr__(self, "gate_counts", counts)
-        if not np.all(counts >= 0):
-            raise ValueError("gate counts must be >= 0")
-        if self.trials is not None:
-            if self.trials < 1:
-                raise ValueError("trials must be >= 1")
-            if np.any(counts > self.trials):
-                raise ValueError("counts cannot exceed trials")
-        if not (self.background_estimate is None
-                or self.background_estimate >= 0):
-            raise ValueError("background_estimate must be >= 0")
-        if not self.gate_period > 0:
-            raise ValueError("gate_period must be > 0")
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        if self.trials is None:
-            return self.gate_counts
-        return self.gate_counts / self.trials
-
-    def __len__(self) -> int:
-        return len(self.gate_counts)
-
-
-@dataclass(frozen=True)
 class ArrheniusFit:
     activation_energy: float  # eV
     lifetime_prefactor: float  # ps
@@ -93,10 +58,9 @@ def dead_time_counts(clicked: np.ndarray, dead_time: float,
 
 
 def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
-                    dead_time: float, gate_period: float,
-                    trials: int | None = None) -> GateHistogram:
-    """Accumulate per-gate counts from (trial, gate_index) click records,
-    discarding clicks inside the dead time (see dead_time_counts).
+                    dead_time: float, gate_period: float) -> np.ndarray:
+    """Per-gate counts of (trial, gate_index) click records, discarding
+    clicks inside the dead time (see dead_time_counts).
 
     A gate clicks at most once per trial: repeated records count once.
     """
@@ -110,45 +74,53 @@ def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
     rows, row_of = np.unique(recs[:, 0], return_inverse=True)
     clicked = np.zeros((rows.size, window), dtype=bool)
     clicked[row_of, recs[:, 1]] = True
-    counts = dead_time_counts(clicked, dead_time, gate_period)
-    return GateHistogram(gate_counts=counts, trials=trials,
-                         gate_period=gate_period)
+    return dead_time_counts(clicked, dead_time, gate_period)
 
 
-def estimate_background(hist: GateHistogram) -> float:
+def estimate_background(counts: np.ndarray) -> float:
     """Mean count of gates 6 onward (1-based), past the decay region."""
-    tail = hist.gate_counts[5:]
+    tail = counts[5:]
     if tail.size == 0:
         return 0.0
     return float(np.mean(tail))
 
 
-def extract_lifetime(hist: GateHistogram,
-                     use_gates: tuple[int, int] = (1, 3)) -> float:
+def extract_lifetime(counts, gate_period: float,
+                     use_gates: tuple[int, int] = (1, 3),
+                     background: float | None = None) -> float:
     """Single-exponential lifetime from two gates of a decay histogram.
 
-    Gate indices are 1-based with gate 1 the illuminated gate. With
-    background-subtracted counts C_a and C_b at gates (anchor, probe) and
-    gate separation D = (probe - anchor) * gate_period, the lifetime is
-    D / ln(C_a / C_b). The anchor count is treated as proportional to the
-    initially trapped population; pass e.g. use_gates=(2, 4) to fit purely
-    within the release tail.
+    counts is a 1-D array of per-gate counts (or probabilities), finite and
+    >= 0, over gates gate_period ps apart. Gate indices are 1-based with
+    gate 1 the illuminated gate. With background-subtracted counts C_a and
+    C_b at gates (anchor, probe) and gate separation
+    D = (probe - anchor) * gate_period, the lifetime is D / ln(C_a / C_b).
+    The anchor count is treated as proportional to the initially trapped
+    population; pass e.g. use_gates=(2, 4) to fit purely within the release
+    tail. background defaults to estimate_background(counts).
     """
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 1 or not np.all((counts >= 0) & (counts < np.inf)):
+        raise ValueError("counts must be a 1-D array of finite values >= 0")
+    if not 0 < gate_period < math.inf:
+        raise ValueError("gate_period must be finite and > 0")
+    if background is None:
+        background = estimate_background(counts)
+    elif not 0 <= background < math.inf:
+        raise ValueError("background must be finite and >= 0")
     anchor, probe = use_gates
-    if not (1 <= anchor < probe <= len(hist)):
+    if not (1 <= anchor < probe <= counts.size):
         raise ValueError(f"use_gates {use_gates} outside histogram of "
-                         f"{len(hist)} gates")
-    background = (hist.background_estimate if hist.background_estimate is not None
-                  else estimate_background(hist))
-    c_a = float(hist.gate_counts[anchor - 1]) - background
-    c_b = float(hist.gate_counts[probe - 1]) - background
+                         f"{counts.size} gates")
+    c_a = float(counts[anchor - 1]) - background
+    c_b = float(counts[probe - 1]) - background
     if c_a <= 0 or c_b <= 0:
         raise LifetimeExtractionError(
             "background-subtracted counts must be positive at both gates")
     if c_b >= c_a:
         raise LifetimeExtractionError(
             f"counts do not decay between gates {anchor} and {probe}")
-    separation = (probe - anchor) * hist.gate_period
+    separation = (probe - anchor) * gate_period
     return separation / math.log(c_a / c_b)
 
 

@@ -84,16 +84,16 @@ def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
     gates = sec["gates"]
     pulse = PulseSpec(mean_flux=cfg.values["scenario"]["signal_flux"],
                       delay=sec["pulse_delay"])
-    hist = simulate_pulse_train(
+    counts = simulate_pulse_train(
         cfg.detector, [(0, pulse)], cfg.environment, trials=run["trials"],
         seed=run["seed"], window=gates, workers=run["workers"],
         dead_time=sec["dead_time"])
-    io.write_histogram_csv(out / "histogram.csv", hist)
+    io.write_histogram_csv(out / "histogram.csv", counts, run["trials"])
     svg.bar_chart(out / "histogram.svg",
-                  [str(i + 1) for i in range(gates)], hist.gate_counts,
+                  [str(i + 1) for i in range(gates)], counts,
                   "per-gate click counts", "gate index", "counts")
     print(f"wrote {out / 'histogram.csv'} and histogram.svg "
-          f"(gate 1 count {int(hist.gate_counts[0])})")
+          f"(gate 1 count {int(counts[0])})")
 
 
 def cmd_arrhenius(cfg: RunConfig, args, out: Path) -> None:
@@ -142,9 +142,11 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_attack_hist(cfg: RunConfig, args, out: Path) -> None:
+    gates = cfg.values["histogram"]["gates"]
+    if gates < 2:
+        raise ConfigError("attack-hist needs histogram.gates >= 2")
     delay, _ = _dip_delay(_sweep_points(cfg))
     flux = cfg.values["scenario"]["flux_full"]
-    gates = cfg.values["histogram"]["gates"]
     hists = {}
     for power, f in (("full", flux), ("half", flux / 2.0)):
         hists[power] = attack_histogram(cfg.detector, f, delay,
@@ -152,14 +154,13 @@ def cmd_attack_hist(cfg: RunConfig, args, out: Path) -> None:
         io.write_histogram_csv(out / f"attack_hist_{power}.csv", hists[power])
     svg.line_chart(out / "attack_hist.svg",
                    list(range(1, gates + 1)),
-                   {"full power": hists["full"].gate_counts,
-                    "half power": hists["half"].gate_counts},
+                   {"full power": hists["full"], "half power": hists["half"]},
                    f"per-gate detection probability at delay "
                    f"{delay:.1f} ps", "gate index", "probability")
-    g1, g2 = hists["full"].gate_counts[0], hists["full"].gate_counts[1]
+    g1, g2 = hists["full"][:2]
     print(f"attack delay {delay:.2f} ps: full-power gate2/gate1 = "
           f"{g2 / g1:.4f}; half-power gate2 > gate1: "
-          f"{hists['half'].gate_counts[1] > hists['half'].gate_counts[0]}")
+          f"{hists['half'][1] > hists['half'][0]}")
 
 
 def cmd_gate2(cfg: RunConfig, args, out: Path) -> None:

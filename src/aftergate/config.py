@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .detector import (CAPTURE_PARAMS, DetectorParams, Environment,
-                       GateTiming, TrapKind, TrapSpecies)
+                       GateTiming, TrapSpecies)
 
 
 class ConfigError(ValueError):
@@ -77,11 +77,11 @@ def _model_keys(*classes, skip=()) -> dict:
 # section -> key -> caster; a caster raises ValueError on a bad value
 _SCHEMA = {
     "detector": _model_keys(GateTiming, DetectorParams),
-    # each [traps.*] section takes only the capture keys its kind reads
+    # each [traps.*] section takes only the capture keys its slot reads
     "traps.interface": _model_keys(
-        TrapSpecies, skip=CAPTURE_PARAMS[TrapKind.MULTIPLICATION]),
+        TrapSpecies, skip=CAPTURE_PARAMS["multiplication_trap"]),
     "traps.multiplication": _model_keys(
-        TrapSpecies, skip=CAPTURE_PARAMS[TrapKind.INTERFACE]),
+        TrapSpecies, skip=CAPTURE_PARAMS["interface_trap"]),
     "environment": _model_keys(Environment),
     "scenario": {
         "flux_full": _positive,
@@ -160,7 +160,7 @@ def _parse(path: Path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -223,11 +223,9 @@ def load_config(path: str | Path | None = None,
                             gate_width=det_sec.pop("gate_width"))
         detector = _build(
             DetectorParams, det_sec, timing=timing,
-            interface_trap=_build(TrapSpecies, values["traps.interface"],
-                                  kind=TrapKind.INTERFACE),
+            interface_trap=_build(TrapSpecies, values["traps.interface"]),
             multiplication_trap=_build(TrapSpecies,
-                                       values["traps.multiplication"],
-                                       kind=TrapKind.MULTIPLICATION))
+                                       values["traps.multiplication"]))
         environment = _build(Environment, values["environment"])
     except (KeyError, ValueError) as exc:
         if isinstance(exc, KeyError):

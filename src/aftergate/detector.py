@@ -17,17 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 # Boltzmann constant in eV per kelvin.
 K_BOLTZMANN_EV = 8.617e-5
-
-
-class TrapKind(Enum):
-    INTERFACE = "interface"
-    MULTIPLICATION = "multiplication"
 
 
 @dataclass(frozen=True)
@@ -41,18 +35,19 @@ class Environment:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
-# The capture parameters each kind's loading reads (see trap_loading); a
-# species must leave the other kind's at 0.
+# The capture parameters trap_loading reads from the species in each
+# DetectorParams slot; a species must leave the other slot's at 0.
 CAPTURE_PARAMS = {
-    TrapKind.INTERFACE: ("capture_fraction_photo",),
-    TrapKind.MULTIPLICATION: ("capture_per_avalanche_charge",
-                              "retention_strength"),
+    "interface_trap": ("capture_fraction_photo",),
+    "multiplication_trap": ("capture_per_avalanche_charge",
+                            "retention_strength"),
 }
 
 
 @dataclass(frozen=True)
 class TrapSpecies:
-    """One carrier-trapping population.
+    """One carrier-trapping population; the DetectorParams slot holding it
+    (interface_trap or multiplication_trap) sets its role.
 
     The release lifetime follows an Arrhenius law
     tau(T) = lifetime_prefactor * exp(activation_energy / (k_B T)).
@@ -65,7 +60,6 @@ class TrapSpecies:
     gain); both are multiplication only (CAPTURE_PARAMS).
     """
 
-    kind: TrapKind
     activation_energy: float  # eV
     lifetime_prefactor: float  # ps
     capture_fraction_photo: float = 0.0
@@ -83,11 +77,6 @@ class TrapSpecies:
             raise ValueError("capture_per_avalanche_charge must be >= 0")
         if not self.retention_strength >= 0:
             raise ValueError("retention_strength must be >= 0")
-        for kind, names in CAPTURE_PARAMS.items():
-            for name in names:
-                if kind is not self.kind and getattr(self, name) != 0.0:
-                    raise ValueError(f"{self.kind.value} species never reads "
-                                     f"{name}; it must be 0")
 
 
 @dataclass(frozen=True)
@@ -189,10 +178,13 @@ class DetectorParams:
                      self.gain_edge_fraction):
             if not (0.0 < frac <= 1.0):
                 raise ValueError("profile fractions must lie in (0, 1]")
-        if self.interface_trap.kind is not TrapKind.INTERFACE:
-            raise ValueError("interface_trap must have kind INTERFACE")
-        if self.multiplication_trap.kind is not TrapKind.MULTIPLICATION:
-            raise ValueError("multiplication_trap must have kind MULTIPLICATION")
+        for slot in CAPTURE_PARAMS:
+            species = getattr(self, slot)
+            for other, names in CAPTURE_PARAMS.items():
+                for name in names:
+                    if other != slot and getattr(species, name) != 0.0:
+                        raise ValueError(f"{slot} never reads {name}; "
+                                         f"it must be 0")
         if not self.afterpulse_spread_gates >= 1:
             raise ValueError("afterpulse_spread_gates must be >= 1")
 
@@ -248,9 +240,13 @@ def _check_flux(mean_flux) -> None:
 
 
 def trap_lifetime(species: TrapSpecies, env: Environment) -> float:
-    """Arrhenius release lifetime in ps at the environment temperature."""
-    return species.lifetime_prefactor * math.exp(
-        species.activation_energy / (K_BOLTZMANN_EV * env.temperature))
+    """Arrhenius release lifetime in ps at the environment temperature;
+    math.inf (no release) where the exponential overflows."""
+    try:
+        return species.lifetime_prefactor * math.exp(
+            species.activation_energy / (K_BOLTZMANN_EV * env.temperature))
+    except OverflowError:
+        return math.inf
 
 
 def poisson_tail(k, lam) -> np.ndarray:

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .characterization import GateHistogram
-
 
 def write_text(path, text: str) -> None:
     """Write an output file with LF line ends, making its directory first:
@@ -56,13 +54,15 @@ def _write_table(path, header, table) -> None:
     _write_columns(path, header, [table[name] for name in table.dtype.names])
 
 
-def write_histogram_csv(path, hist: GateHistogram) -> None:
-    """Columns: gate_index,counts,trials,probability (gate_index is 1-based)."""
-    n, counts = len(hist), hist.gate_counts
+def write_histogram_csv(path, counts, trials: int | None = None) -> None:
+    """Columns: gate_index,counts,trials,probability (gate_index is 1-based).
+    Without trials the values are probabilities: the counts and probability
+    columns both hold them, and trials reads 0."""
+    counts = np.asarray(counts, dtype=float if trials is None else np.int64)
+    probs = counts if trials is None else counts / trials
     _write_columns(path, ["gate_index", "counts", "trials", "probability"],
-                   [np.arange(1, n + 1),
-                    counts if hist.trials is None else counts.astype(np.int64),
-                    np.full(n, hist.trials or 0), hist.probabilities])
+                   [np.arange(1, counts.size + 1), counts,
+                    np.full(counts.size, trials or 0), probs])
 
 
 def write_sweep_csv(path, points) -> None:

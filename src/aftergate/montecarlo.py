@@ -33,7 +33,6 @@ import numpy as np
 from .detector import (DetectorParams, Environment, PulseSpec,  # noqa: F401
                        afterpulse_background, delayed_release_mean,
                        poisson_tail, trap_loading)
-from .characterization import GateHistogram
 
 _CHUNK = 8192
 
@@ -124,14 +123,14 @@ def simulate_pulse_train(det: DetectorParams,
                          seed: int,
                          window: int,
                          workers: int = 1,
-                         dead_time: float = 0.0) -> GateHistogram:
+                         dead_time: float = 0.0) -> np.ndarray:
     """Sample `trials` repetitions of a pulse train and histogram the clicks
     of its first `window` gates.
 
     pulses is a sequence of (gate_index, PulseSpec) with strictly increasing
     gate indices. Each trial's clicks pass a non-paralyzable dead time (ps;
-    0 keeps every click) before they are counted. Returns a GateHistogram of
-    integer counts per gate.
+    0 keeps every click) before they are counted. Returns the int64 count
+    per gate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -156,8 +155,5 @@ def simulate_pulse_train(det: DetectorParams,
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = sum(pool.map(work, range(n_chunks)))
-    else:
-        counts = sum(map(work, range(n_chunks)))
-    return GateHistogram(gate_counts=counts, trials=trials,
-                         gate_period=det.timing.gate_period)
+            return sum(pool.map(work, range(n_chunks)))
+    return sum(map(work, range(n_chunks)))

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from aftergate import (Environment, GateHistogram, PulseSpec, TrapKind,
-                       TrapSpecies, arrhenius_fit, attack_histogram,
-                       extract_lifetime, feasibility_band, key_rate,
-                       load_config, partial_attack_rates, qber_target,
-                       qber_with_dd, simulate_pulse_train, sweep_delay)
+from aftergate import (Environment, PulseSpec, TrapSpecies, arrhenius_fit,
+                       attack_histogram, extract_lifetime, feasibility_band,
+                       key_rate, load_config, partial_attack_rates,
+                       qber_target, qber_with_dd, simulate_pulse_train,
+                       sweep_delay)
 from aftergate.cli import main
 from aftergate.detector import DetectorParams, GateTiming
 from aftergate.feasibility import suitable_interval
@@ -78,16 +78,16 @@ def test_criterion_3_dip_reproduction(cfg, sweep_points):
 def test_criterion_4_histogram_ratios(cfg, sweep_points):
     det, env = cfg.detector, cfg.environment
     single = attack_histogram(det, 0.1, 0.0, env, gates=12)
-    r_single = single.gate_counts[1] / single.gate_counts[0]
+    r_single = single[1] / single[0]
     assert 0.005 <= r_single <= 0.02
 
     q = np.array([p.q_target for p in sweep_points])
     dip_delay = sweep_points[int(np.nanargmin(q))].delay
     full = attack_histogram(det, 80.0, dip_delay, env, gates=8)
     half = attack_histogram(det, 40.0, dip_delay, env, gates=8)
-    r_full = full.gate_counts[1] / full.gate_counts[0]
+    r_full = full[1] / full[0]
     assert 0.10 <= r_full <= 0.20
-    assert half.gate_counts[1] > half.gate_counts[0]
+    assert half[1] > half[0]
     print(f"[criterion 4] gate ratios: single-photon {r_single:.4f}, "
           f"full-power {r_full:.4f}, half-power adjacent dominates: PASS")
 
@@ -98,9 +98,7 @@ def test_criterion_5_lifetime_round_trip():
         counts = [10000.0]
         for k in range(1, 8):
             counts.append(10.0 + 9990.0 * math.exp(-k * 1000.0 / tau))
-        hist = GateHistogram(gate_counts=np.array(counts), trials=None,
-                             gate_period=1000.0, background_estimate=10.0)
-        tau_hat = extract_lifetime(hist)
+        tau_hat = extract_lifetime(counts, 1000.0, background=10.0)
         worst = max(worst, abs(tau_hat - tau) / tau)
     assert worst < 0.01
 
@@ -128,12 +126,10 @@ def _random_detector(rng):
         gain_edge_fraction=rng.uniform(0.3, min(0.6, 1.0 - gain_flat)),
         gain_floor=rng.uniform(0.08, 0.3),
         interface_trap=TrapSpecies(
-            TrapKind.INTERFACE, rng.uniform(0.02, 0.1),
-            rng.uniform(20.0, 200.0),
+            rng.uniform(0.02, 0.1), rng.uniform(20.0, 200.0),
             capture_fraction_photo=rng.uniform(0.0, 0.05)),
         multiplication_trap=TrapSpecies(
-            TrapKind.MULTIPLICATION, rng.uniform(0.05, 0.13),
-            rng.uniform(5.0, 50.0),
+            rng.uniform(0.05, 0.13), rng.uniform(5.0, 50.0),
             capture_per_avalanche_charge=rng.uniform(0.0, 0.3),
             retention_strength=rng.uniform(0.0, 2.0)),
     )
@@ -150,11 +146,11 @@ def test_criterion_6_monte_carlo_matches_analytic():
         pulse = PulseSpec(mean_flux=rng.uniform(0.05, 100.0),
                           delay=rng.uniform(0.0, det.timing.gate_period * 0.9))
         train = [(0, pulse)]
-        hist = simulate_pulse_train(det, train, env, trials=trials,
-                                    seed=int(rng.integers(0, 2 ** 63)),
-                                    window=window, workers=4)
+        counts = simulate_pulse_train(det, train, env, trials=trials,
+                                      seed=int(rng.integers(0, 2 ** 63)),
+                                      window=window, workers=4)
         expected = analytic_gate_probabilities(det, train, env, window)
-        freq = hist.gate_counts / trials
+        freq = counts / trials
         se = np.sqrt(expected * (1.0 - expected) / trials)
         sigmas = np.abs(freq - expected) / np.maximum(se, 1e-12)
         worst_sigma = max(worst_sigma, float(sigmas.max()))

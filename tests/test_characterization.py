@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aftergate import (Environment, GateHistogram, LifetimeExtractionError,
-                       PulseSpec, TrapKind, TrapSpecies, arrhenius_fit,
-                       build_histogram, extract_lifetime, trap_lifetime)
+from aftergate import (Environment, LifetimeExtractionError, PulseSpec,
+                       TrapSpecies, arrhenius_fit, build_histogram,
+                       extract_lifetime, trap_lifetime)
 from aftergate.characterization import dead_time_counts, estimate_background
 from aftergate.detector import DetectorParams, GateTiming
 from aftergate.montecarlo import analytic_gate_probabilities
@@ -53,29 +53,29 @@ def click_matrices(draw):
 class TestBuildHistogram:
     def test_zero_dead_time_keeps_everything(self):
         records = [(0, 0), (0, 3), (1, 2), (2, 0), (2, 1)]
-        hist = build_histogram(records, window=5, dead_time=0.0,
-                               gate_period=1000.0)
-        assert list(hist.gate_counts) == [2, 1, 1, 1, 0]
+        counts = build_histogram(records, window=5, dead_time=0.0,
+                                 gate_period=1000.0)
+        assert list(counts) == [2, 1, 1, 1, 0]
 
     def test_dead_time_suppresses_within_trial(self):
         # clicks at gates 0 and 3 are 3000 ps apart, inside a 50 ns dead time
-        hist = build_histogram([(7, 0), (7, 3)], window=6, dead_time=50000.0,
-                               gate_period=1000.0)
-        assert list(hist.gate_counts) == [1, 0, 0, 0, 0, 0]
+        counts = build_histogram([(7, 0), (7, 3)], window=6,
+                                 dead_time=50000.0, gate_period=1000.0)
+        assert list(counts) == [1, 0, 0, 0, 0, 0]
 
     def test_trials_never_suppress_each_other(self):
         records = [(t, 0) for t in range(50)] + [(t, 1) for t in range(50)]
-        hist = build_histogram(records, window=3, dead_time=50000.0,
-                               gate_period=1000.0)
-        assert hist.gate_counts[0] == 50
-        assert hist.gate_counts[1] == 0  # same-trial gate 1 suppressed
+        counts = build_histogram(records, window=3, dead_time=50000.0,
+                                 gate_period=1000.0)
+        assert counts[0] == 50
+        assert counts[1] == 0  # same-trial gate 1 suppressed
 
     def test_after_dead_time_click_accepted_and_rearms(self):
-        hist = build_histogram([(0, 0), (0, 2), (0, 3)], window=5,
-                               dead_time=1500.0, gate_period=1000.0)
+        counts = build_histogram([(0, 0), (0, 2), (0, 3)], window=5,
+                                 dead_time=1500.0, gate_period=1000.0)
         # gate 2 is 2000 ps after gate 0 (accepted), gate 3 only 1000 ps
         # after gate 2 (suppressed)
-        assert list(hist.gate_counts) == [1, 0, 1, 0, 0]
+        assert list(counts) == [1, 0, 1, 0, 0]
 
     def test_negative_dead_time_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ class TestBuildHistogram:
                              gate_period=1000.0)
         hi = build_histogram(records, window=10, dead_time=dt_a + extra,
                              gate_period=1000.0)
-        assert hi.gate_counts.sum() <= lo.gate_counts.sum()
+        assert hi.sum() <= lo.sum()
 
     @given(click_matrices(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -116,14 +116,14 @@ class TestBuildHistogram:
                                               dead_time, period)
         assert np.array_equal(dead_time_counts(clicked, dead_time, period),
                               expected)
-        hist = build_histogram(records, window=clicked.shape[1],
-                               dead_time=dead_time, gate_period=period)
-        assert np.array_equal(hist.gate_counts, expected)
+        counts = build_histogram(records, window=clicked.shape[1],
+                                 dead_time=dead_time, gate_period=period)
+        assert np.array_equal(counts, expected)
 
     def test_repeated_record_counts_once(self):
-        hist = build_histogram([(0, 1), (0, 1), (3, 1)], window=3,
-                               dead_time=0.0, gate_period=1000.0)
-        assert list(hist.gate_counts) == [0, 2, 0]
+        counts = build_histogram([(0, 1), (0, 1), (3, 1)], window=3,
+                                 dead_time=0.0, gate_period=1000.0)
+        assert list(counts) == [0, 2, 0]
 
     def test_nan_dead_time_rejected(self):
         with pytest.raises(ValueError):
@@ -136,8 +136,8 @@ class TestBuildHistogram:
                              gate_period=1000.0)
         hi = build_histogram(records, window=10, dead_time=5001.0,
                              gate_period=1000.0)
-        assert hi.gate_counts.sum() <= lo.gate_counts.sum()
-        assert hi.gate_counts[6] > lo.gate_counts[6]
+        assert hi.sum() <= lo.sum()
+        assert hi[6] > lo[6]
 
 
 def synth_decay_histogram(tau, gate_period=1000.0, amplitude=10000.0,
@@ -148,73 +148,68 @@ def synth_decay_histogram(tau, gate_period=1000.0, amplitude=10000.0,
     for k in range(1, gates):
         counts.append(background + (amplitude - background)
                       * math.exp(-k * gate_period / tau))
-    return GateHistogram(gate_counts=np.array(counts), trials=None,
-                         gate_period=gate_period,
-                         background_estimate=background)
-
-
-class TestGateHistogram:
-    @pytest.mark.parametrize("field, value, message", [
-        ("gate_counts", [1.0, math.nan], "gate counts"),
-        ("gate_period", math.nan, "gate_period"),
-        ("background_estimate", math.nan, "background_estimate")])
-    def test_nan_rejected(self, field, value, message):
-        # a NaN background once made extract_lifetime return NaN silently
-        args = {"gate_counts": [100.0, 50.0, 20.0], "trials": None,
-                "gate_period": 1000.0, "background_estimate": 1.0}
-        with pytest.raises(ValueError, match=message):
-            GateHistogram(**{**args, field: value})
+    return np.array(counts)
 
 
 class TestExtractLifetime:
+    @pytest.mark.parametrize("arg, value, message", [
+        ("counts", [100.0, math.nan, 20.0], "counts"),
+        ("counts", [math.inf, 50.0, 20.0], "counts"),
+        ("counts", [100.0, -1.0, 20.0], "counts"),
+        ("counts", [[100.0, 50.0, 20.0]], "counts"),
+        ("gate_period", math.nan, "gate_period"),
+        ("gate_period", math.inf, "gate_period"),
+        ("gate_period", 0.0, "gate_period"),
+        ("background", math.nan, "background"),
+        ("background", math.inf, "background"),
+        ("background", -1.0, "background")],
+        ids=["counts-nan", "counts-inf", "counts-negative", "counts-2d",
+             "gate_period-nan", "gate_period-inf", "gate_period-zero",
+             "background-nan", "background-inf", "background-negative"])
+    def test_bad_argument_rejected(self, arg, value, message):
+        # unchecked, a NaN background returned NaN, an inf anchor count a
+        # lifetime of 0.0 ps and an inf gate_period an inf lifetime
+        args = {"counts": [100.0, 50.0, 20.0], "gate_period": 1000.0,
+                "background": 1.0}
+        with pytest.raises(ValueError, match=message):
+            extract_lifetime(**{**args, arg: value})
+
     def test_worked_integer_example(self):
         # C1 = 10000, C3 = 193, background 10: 2000 / ln(9990/183) = 500.02
-        hist = GateHistogram(gate_counts=np.array([10000., 1370., 193., 35.,
-                                                   12., 10., 10., 10.]),
-                             trials=None, gate_period=1000.0,
-                             background_estimate=10.0)
-        assert extract_lifetime(hist) == pytest.approx(500.018285818571,
-                                                       rel=1e-12)
+        counts = [10000., 1370., 193., 35., 12., 10., 10., 10.]
+        tau = extract_lifetime(counts, 1000.0, background=10.0)
+        assert tau == pytest.approx(500.018285818571, rel=1e-12)
 
     def test_ln_ratio_of_two(self):
         # C1' = C3' * e^2 with 2000 ps separation -> tau = 1000 ps
-        hist = GateHistogram(
-            gate_counts=np.array([100.0 * math.e ** 2, 50.0, 100.0, 1.0]),
-            trials=None, gate_period=1000.0, background_estimate=0.0)
-        assert extract_lifetime(hist) == pytest.approx(1000.0, rel=1e-12)
+        counts = [100.0 * math.e ** 2, 50.0, 100.0, 1.0]
+        tau = extract_lifetime(counts, 1000.0, background=0.0)
+        assert tau == pytest.approx(1000.0, rel=1e-12)
 
     def test_round_trip_through_synthesis(self):
         for tau in (200.0, 500.0, 800.0):
-            hist = synth_decay_histogram(tau)
-            assert extract_lifetime(hist) == pytest.approx(tau, rel=1e-6)
+            tau_hat = extract_lifetime(synth_decay_histogram(tau), 1000.0,
+                                       background=10.0)
+            assert tau_hat == pytest.approx(tau, rel=1e-6)
 
     def test_rescaling_invariance(self):
-        hist = synth_decay_histogram(430.0)
-        scaled = GateHistogram(gate_counts=hist.gate_counts * 7.5,
-                               trials=None, gate_period=1000.0,
-                               background_estimate=75.0)
-        assert extract_lifetime(scaled) == pytest.approx(
-            extract_lifetime(hist), rel=1e-12)
+        counts = synth_decay_histogram(430.0)
+        scaled = extract_lifetime(counts * 7.5, 1000.0, background=75.0)
+        assert scaled == pytest.approx(
+            extract_lifetime(counts, 1000.0, background=10.0), rel=1e-12)
 
     def test_non_decaying_input_fails(self):
-        hist = GateHistogram(gate_counts=np.array([100., 50., 120., 10.]),
-                             trials=None, gate_period=1000.0,
-                             background_estimate=0.0)
         with pytest.raises(LifetimeExtractionError):
-            extract_lifetime(hist)
+            extract_lifetime([100., 50., 120., 10.], 1000.0, background=0.0)
 
     def test_zero_after_background_fails(self):
-        hist = GateHistogram(gate_counts=np.array([100., 50., 5., 1.]),
-                             trials=None, gate_period=1000.0,
-                             background_estimate=5.0)
         with pytest.raises(LifetimeExtractionError):
-            extract_lifetime(hist)
+            extract_lifetime([100., 50., 5., 1.], 1000.0, background=5.0)
 
     def test_background_defaults_to_flat_tail(self):
         # gates 6+ carry a residual of the tau = 500 ps decay, so the
         # estimate sits just above the true background
-        hist = synth_decay_histogram(500.0)
-        est = estimate_background(hist)
+        est = estimate_background(synth_decay_histogram(500.0))
         assert est == pytest.approx(10.0, rel=0.05)
 
 
@@ -226,19 +221,15 @@ def single_species_detector(ea=0.040, tau0=100.0):
         discrimination_threshold=0.5,
         dark_count_prob=0.0,
         afterpulse_prob=0.0,
-        interface_trap=TrapSpecies(TrapKind.INTERFACE, ea, tau0,
-                                   capture_fraction_photo=0.01),
-        multiplication_trap=TrapSpecies(TrapKind.MULTIPLICATION, 0.110, 8.0,
+        interface_trap=TrapSpecies(ea, tau0, capture_fraction_photo=0.01),
+        multiplication_trap=TrapSpecies(0.110, 8.0,
                                         capture_per_avalanche_charge=0.0),
     )
 
 
 def analytic_decay_histogram(det, env, gates=10):
-    probs = analytic_gate_probabilities(det, [(0, PulseSpec(0.1, 0.0))],
-                                        env, gates)
-    return GateHistogram(gate_counts=probs, trials=None,
-                         gate_period=det.timing.gate_period,
-                         background_estimate=0.0)
+    return analytic_gate_probabilities(det, [(0, PulseSpec(0.1, 0.0))],
+                                       env, gates)
 
 
 class TestModelRoundTrip:
@@ -246,19 +237,20 @@ class TestModelRoundTrip:
         # anchor inside the release tail: gates 2 and 4 are pure decay
         det = single_species_detector()
         env = Environment(temperature=293.15)
-        hist = analytic_decay_histogram(det, env)
+        probs = analytic_decay_histogram(det, env)
         tau_true = trap_lifetime(det.interface_trap, env)
-        tau_hat = extract_lifetime(hist, use_gates=(2, 4))
+        tau_hat = extract_lifetime(probs, det.timing.gate_period,
+                                   use_gates=(2, 4), background=0.0)
         assert tau_hat == pytest.approx(tau_true, rel=0.01)
 
     def test_delayed_counts_fit_single_exponential(self):
         det = single_species_detector()
         env = Environment(temperature=293.15)
-        hist = analytic_decay_histogram(det, env)
+        probs = analytic_decay_histogram(det, env)
         tau_true = trap_lifetime(det.interface_trap, env)
-        tail = hist.gate_counts[1:8]
+        tail = probs[1:8]
         ratios = tail[:-1] / tail[1:]
-        taus = hist.gate_period / np.log(ratios)
+        taus = det.timing.gate_period / np.log(ratios)
         assert np.all(np.abs(taus - tau_true) / tau_true < 0.01)
 
     def test_arrhenius_round_trip_within_two_percent(self):
@@ -267,8 +259,10 @@ class TestModelRoundTrip:
         lifetimes = []
         for temp in temps:
             env = Environment(temperature=temp)
-            hist = analytic_decay_histogram(det, env)
-            lifetimes.append(extract_lifetime(hist, use_gates=(2, 4)))
+            probs = analytic_decay_histogram(det, env)
+            lifetimes.append(extract_lifetime(
+                probs, det.timing.gate_period, use_gates=(2, 4),
+                background=0.0))
         fit = arrhenius_fit(temps, lifetimes)
         assert fit.activation_energy == pytest.approx(0.040, rel=0.02)
         assert fit.lifetime_prefactor == pytest.approx(100.0, rel=0.05)

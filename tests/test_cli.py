@@ -45,19 +45,19 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_child(argv, address_space=None, timeout=60):
-    """cli.main(argv) in a fresh process. Its output is captured at the
-    file descriptors, so lines that native code writes there count too.
-    address_space (bytes) limits that process alone; one BLAS thread keeps
-    the library's own reservation small."""
+def run_child(argv, address_space=None, timeout=60, python_flags=()):
+    """cli.main(argv) in a fresh process started with python_flags. Its
+    output is captured at the file descriptors, so lines that native code
+    writes there count too. address_space (bytes) limits that process
+    alone; one BLAS thread keeps the library's own reservation small."""
     code = "import resource, sys\n"
     if address_space:
         code += (f"resource.setrlimit(resource.RLIMIT_AS, "
                  f"({address_space}, {address_space}))\n")
     code += ("from aftergate.cli import main\n"
              f"sys.exit(main({[str(a) for a in argv]!r}))\n")
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=timeout,
+    return subprocess.run([sys.executable, *python_flags, "-c", code],
+                          capture_output=True, text=True, timeout=timeout,
                           env={**child_env(), "OPENBLAS_NUM_THREADS": "1"})
 
 
@@ -467,6 +467,33 @@ class TestErrorPaths:
                           "detector.discrimination_threshold=1e7", "sweep"],
                          address_space=3 << 30)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv, code, stderr", [
+        (["--set", "histogram.gates=1", "attack-hist"], 1,
+         "config error: attack-hist needs histogram.gates >= 2\n"),
+        (["--config", "{tmp}/latin1.ini", "sweep"], 1,
+         "config error: malformed config file "),
+        *[(["--set", "environment.temperature=1e-3", command], 0, "")
+          for command in ("sweep", "histogram", "gate2", "attack-hist",
+                          "partial-attack")],
+        (["--set", "feasibility.temperatures=1e-3", "feasibility"], 0, ""),
+    ], ids=["attack_hist_one_gate", "non_utf8_config", "cold_sweep",
+            "cold_histogram", "cold_gate2", "cold_attack_hist",
+            "cold_partial_attack", "cold_feasibility"])
+    def test_edge_input_keeps_exit_contract(self, tmp_path, argv, code,
+                                            stderr):
+        # these once ended in a traceback: attack-hist with one gate after
+        # writing its files, and 1e-3 K in trap_lifetime's math.exp; a
+        # non-UTF-8 config was reported as a numerical failure
+        (tmp_path / "latin1.ini").write_bytes(b"[detector]\nunit = \xb5s\n")
+        out = tmp_path / "out"
+        proc = run_child(["--out", out, "--trials", "20000",
+                          *[a.format(tmp=tmp_path) for a in argv]],
+                         python_flags=["-W", "error"])
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(stderr)
+        assert proc.stderr.count("\n") == (code != 0)
+        assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize("exc", [
         MemoryError("Unable to allocate 745. GiB for an array with shape "

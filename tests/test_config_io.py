@@ -11,12 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aftergate import (ConfigError, DetectorParams, Environment,
-                       GateHistogram, GateTiming, PulseSpec, TrapKind,
-                       TrapSpecies, attack_histogram, contour_flux_delay,
-                       feasibility_band, gate2_vs_delay, load_config,
-                       partial_attack_rates, simulate_pulse_train,
-                       sweep_delay)
+from aftergate import (ConfigError, DetectorParams, Environment, GateTiming,
+                       PulseSpec, TrapSpecies, attack_histogram,
+                       contour_flux_delay, feasibility_band, gate2_vs_delay,
+                       load_config, partial_attack_rates,
+                       simulate_pulse_train, sweep_delay)
 from aftergate import io
 from aftergate.config import _SCHEMA, default_config_path
 from aftergate.io import (read_arrhenius_csv, write_feasibility_csv,
@@ -79,9 +78,8 @@ class TestConfig:
             timing=GateTiming(gating_frequency=1e9, gate_width=166.0),
             detection_efficiency=0.3, discrimination_threshold=0.5,
             dark_count_prob=1e-4, afterpulse_prob=0.02,
-            interface_trap=TrapSpecies(TrapKind.INTERFACE, 0.04, 100.0),
-            multiplication_trap=TrapSpecies(TrapKind.MULTIPLICATION, 0.11,
-                                            8.0))
+            interface_trap=TrapSpecies(0.04, 100.0),
+            multiplication_trap=TrapSpecies(0.11, 8.0))
         assert cfg.environment == Environment(temperature=293.15)
 
     def test_missing_required_key_message(self, tmp_path):
@@ -156,10 +154,8 @@ class TestConfig:
 
 class TestCsvFormats:
     def test_histogram_header_and_roundtrip(self, tmp_path):
-        hist = GateHistogram(gate_counts=np.array([50, 3, 1, 0]), trials=100,
-                             gate_period=1000.0)
         path = tmp_path / "hist.csv"
-        write_histogram_csv(path, hist)
+        write_histogram_csv(path, np.array([50, 3, 1, 0]), trials=100)
         lines = path.read_text().splitlines()
         assert lines[0] == "gate_index,counts,trials,probability"
         assert lines[1] == "1,50,100,0.5"
@@ -249,13 +245,10 @@ def _write_rows(path, header, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def oracle_histogram_csv(path, hist: GateHistogram) -> None:
-    trials = hist.trials if hist.trials is not None else 0
-    probs = hist.probabilities
-    rows = []
-    for i, count in enumerate(hist.gate_counts):
-        c = int(count) if hist.trials is not None else float(count)
-        rows.append([i + 1, c, trials, float(probs[i])])
+def oracle_histogram_csv(path, counts, trials=None) -> None:
+    rows = [[i + 1, float(c), 0, float(c)] if trials is None
+            else [i + 1, int(c), trials, float(c) / trials]
+            for i, c in enumerate(counts)]
     _write_rows(path, ["gate_index", "counts", "trials", "probability"], rows)
 
 
@@ -382,7 +375,7 @@ def shipped_outputs(default_cfg):
         "histogram": [
             (simulate_pulse_train(det, [(0, PulseSpec(sc["signal_flux"]))],
                                   env, trials=20000, seed=7, window=12,
-                                  dead_time=50000.0),),
+                                  dead_time=50000.0), 20000),
             (attack_histogram(det, sc["flux_full"] / 2.0, 153.25, env, 12),)],
         "sweep": [(sweep,)],
         "contour": [(fluxes, delays,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftergate import (Environment, PulseSpec, TrapKind, TrapSpecies,
+from aftergate import (Environment, PulseSpec, TrapSpecies,
                        click_probability, trap_lifetime, trap_loading)
 from aftergate.attack import (attack_histogram, contour_flux_delay,
                               gate2_vs_delay, sweep_delay)
@@ -26,8 +26,7 @@ from aftergate.montecarlo import (analytic_gate_probabilities,
 
 
 def species(ea, tau0, **kw):
-    return TrapSpecies(kind=TrapKind.INTERFACE, activation_energy=ea,
-                       lifetime_prefactor=tau0, **kw)
+    return TrapSpecies(activation_energy=ea, lifetime_prefactor=tau0, **kw)
 
 
 ROOM = Environment(temperature=293.15)
@@ -72,9 +71,9 @@ def make_detector(dark=0.0, q_disc=0.5, gain_floor=0.10, eta=0.28,
         discrimination_threshold=q_disc,
         dark_count_prob=dark,
         afterpulse_prob=afterpulse,
-        interface_trap=TrapSpecies(TrapKind.INTERFACE, 0.040, 100.0,
+        interface_trap=TrapSpecies(0.040, 100.0,
                                    capture_fraction_photo=0.0034),
-        multiplication_trap=TrapSpecies(TrapKind.MULTIPLICATION, 0.110, 8.0,
+        multiplication_trap=TrapSpecies(0.110, 8.0,
                                         capture_per_avalanche_charge=0.10,
                                         retention_strength=1.0),
     )
@@ -437,19 +436,20 @@ class TestProfiles:
         timing = GateTiming(gating_frequency=1e9, gate_width=166.0)
         assert timing.gate_period == 1000.0
 
-    def test_interface_species_cannot_capture_avalanche_charge(self):
-        with pytest.raises(ValueError):
-            TrapSpecies(TrapKind.INTERFACE, 0.04, 100.0,
-                        capture_per_avalanche_charge=0.1)
+    def test_interface_species_cannot_capture_avalanche_charge(self, det):
+        with pytest.raises(ValueError, match="capture_per_avalanche_charge"):
+            replace(det, interface_trap=TrapSpecies(
+                0.04, 100.0, capture_per_avalanche_charge=0.1))
 
-    @pytest.mark.parametrize("kind, unread", [
-        (TrapKind.INTERFACE, {"retention_strength": 1.0}),
-        (TrapKind.MULTIPLICATION, {"capture_fraction_photo": 0.1}),
-    ])
-    def test_species_rejects_capture_parameter_its_kind_never_reads(
-            self, kind, unread):
-        with pytest.raises(ValueError, match=next(iter(unread))):
-            TrapSpecies(kind, 0.04, 100.0, **unread)
+    @pytest.mark.parametrize("slot, unread", [
+        ("interface_trap", "retention_strength"),
+        ("multiplication_trap", "capture_fraction_photo"),
+    ], ids=["interface", "multiplication"])
+    def test_slot_rejects_capture_parameter_it_never_reads(self, det, slot,
+                                                            unread):
+        species = replace(getattr(det, slot), **{unread: 0.1})
+        with pytest.raises(ValueError, match=f"^{slot} never reads {unread};"):
+            replace(det, **{slot: species})
 
     @pytest.mark.parametrize("owner, field", [
         ("multiplication_trap", "lifetime_prefactor"),

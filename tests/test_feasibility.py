@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aftergate import (Environment, TrapKind, TrapSpecies,
+from aftergate import (Environment, TrapSpecies,
                        attack_qber_at_frequency, feasibility_band,
                        noise_qber, rescale_detector, sweep_delay)
 from aftergate.feasibility import classify, suitable_interval
@@ -20,8 +20,7 @@ class TestNoiseQber:
     def test_zero_without_capture_and_background(self, det, env):
         quiet = replace(det, dark_count_prob=0.0, afterpulse_prob=0.0,
                         interface_trap=TrapSpecies(
-                            TrapKind.INTERFACE, 0.040, 100.0,
-                            capture_fraction_photo=0.0))
+                            0.040, 100.0, capture_fraction_photo=0.0))
         assert noise_qber(quiet, env) == 0.0
 
     def test_below_threshold_at_default_operating_point(self, det, env):

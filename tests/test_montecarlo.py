@@ -52,15 +52,13 @@ class TestDeterminism:
                                  window=8)
         b = simulate_pulse_train(det, pulses(), env, trials=20000, seed=42,
                                  window=8)
-        assert np.array_equal(a.gate_counts, b.gate_counts)
+        assert np.array_equal(a, b)
 
     def test_worker_count_does_not_change_result(self, det, env):
-        counts = []
-        for workers in (1, 4, 8):
-            h = simulate_pulse_train(det, pulses(mu=40.0, delay=150.0), env,
-                                     trials=30000, seed=7, window=8,
-                                     workers=workers)
-            counts.append(h.gate_counts)
+        counts = [simulate_pulse_train(det, pulses(mu=40.0, delay=150.0),
+                                       env, trials=30000, seed=7, window=8,
+                                       workers=workers)
+                  for workers in (1, 4, 8)]
         assert np.array_equal(counts[0], counts[1])
         assert np.array_equal(counts[0], counts[2])
 
@@ -69,15 +67,15 @@ class TestDeterminism:
                                  trials=20000, seed=1, window=8)
         b = simulate_pulse_train(det, pulses(mu=40.0, delay=150.0), env,
                                  trials=20000, seed=2, window=8)
-        assert not np.array_equal(a.gate_counts, b.gate_counts)
+        assert not np.array_equal(a, b)
 
 
 class TestEdgeCases:
     def test_dark_free_zero_flux_is_all_zero(self, det, env):
         quiet = replace(det, dark_count_prob=0.0, afterpulse_prob=0.0)
-        h = simulate_pulse_train(quiet, pulses(mu=0.0), env, trials=5000,
-                                 seed=3, window=6)
-        assert int(h.gate_counts.sum()) == 0
+        counts = simulate_pulse_train(quiet, pulses(mu=0.0), env, trials=5000,
+                                      seed=3, window=6)
+        assert int(counts.sum()) == 0
 
     def test_zero_trials_rejected(self, det, env):
         with pytest.raises(ValueError):
@@ -142,19 +140,20 @@ class TestDeadTime:
                         if nxt < window:
                             following.append(nxt)
                 starts = following
-        h = simulate_pulse_train(det, train, env, trials=trials, seed=seed,
-                                 window=window, dead_time=dead_time)
-        assert np.array_equal(h.gate_counts, expected)
+        counts = simulate_pulse_train(det, train, env, trials=trials,
+                                      seed=seed, window=window,
+                                      dead_time=dead_time)
+        assert np.array_equal(counts, expected)
 
     def test_histogram_bytes_identical_across_workers(self, det, env,
                                                       tmp_path):
         files = []
         for workers in (1, 2, 3):
-            h = simulate_pulse_train(det, pulses(mu=40.0, delay=150.0), env,
-                                     trials=30000, seed=7, window=8,
-                                     workers=workers, dead_time=2500.0)
+            counts = simulate_pulse_train(
+                det, pulses(mu=40.0, delay=150.0), env, trials=30000, seed=7,
+                window=8, workers=workers, dead_time=2500.0)
             path = tmp_path / f"w{workers}.csv"
-            write_histogram_csv(path, h)
+            write_histogram_csv(path, counts, 30000)
             files.append(path.read_bytes())
         assert files[0] == files[1] == files[2]
 
@@ -165,12 +164,12 @@ class TestDeadTime:
         # first click: gate g counts with probability p_g * prod_{j<g}(1-p_j)
         trials, window = 100000, 10
         train = pulses(mu=mu, delay=delay)
-        h = simulate_pulse_train(det, train, env, trials=trials, seed=31,
-                                 window=window,
-                                 dead_time=window * det.timing.gate_period)
+        counts = simulate_pulse_train(
+            det, train, env, trials=trials, seed=31, window=window,
+            dead_time=window * det.timing.gate_period)
         p = analytic_gate_probabilities(det, train, env, window)
         first = p * np.concatenate([[1.0], np.cumprod(1.0 - p)[:-1]])
-        freq = h.gate_counts / trials
+        freq = counts / trials
         se = np.sqrt(first * (1 - first) / trials)
         assert np.all(np.abs(freq - first) <= 4 * se + 1e-12)
 
@@ -188,13 +187,13 @@ class TestExactLaw:
     def test_counts_follow_dead_time_law(self, det, env, train, dead_time):
         # 12000 ps is the window span: only each trial's first click counts
         trials, window = 100000, 12
-        h = simulate_pulse_train(det, TRAINS[train], env, trials=trials,
-                                 seed=404, window=window, workers=2,
-                                 dead_time=dead_time)
+        counts = simulate_pulse_train(det, TRAINS[train], env, trials=trials,
+                                      seed=404, window=window, workers=2,
+                                      dead_time=dead_time)
         p = analytic_gate_probabilities(det, TRAINS[train], env, window)
         expected = expected_accepted_counts(p, dead_time,
                                             det.timing.gate_period)
-        freq = h.gate_counts / trials
+        freq = counts / trials
         se = np.sqrt(expected * (1 - expected) / trials)
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
 
@@ -207,9 +206,9 @@ class TestExactLaw:
         monkeypatch.setattr(montecarlo, "analytic_gate_probabilities",
                             lambda *args: p)
         trials = 20000
-        h = simulate_pulse_train(det, pulses(), env, trials=trials, seed=8,
-                                 window=p.size, dead_time=dead_time)
-        counts = h.gate_counts
+        counts = simulate_pulse_train(det, pulses(), env, trials=trials,
+                                      seed=8, window=p.size,
+                                      dead_time=dead_time)
         assert counts[0] == counts[3] == trials
         assert counts[2] == counts[5] == 0
         if dead_time:
@@ -225,9 +224,8 @@ class TestExactLaw:
         monkeypatch.setattr(montecarlo, "analytic_gate_probabilities",
                             lambda *args: p)
         trials = 20000
-        h = simulate_pulse_train(det, pulses(), env, trials=trials, seed=9,
-                                 window=p.size, dead_time=1500.0)
-        counts = h.gate_counts
+        counts = simulate_pulse_train(det, pulses(), env, trials=trials,
+                                      seed=9, window=p.size, dead_time=1500.0)
         assert 0 < counts[1] and counts[2] == trials - counts[1]
         assert counts[3] == 0
 
@@ -243,10 +241,11 @@ class TestExactLaw:
         dead_time = (j + k) * period - j * period
         monkeypatch.setattr(montecarlo, "analytic_gate_probabilities",
                             lambda *args: np.ones(window))
-        h = simulate_pulse_train(fast, pulses(), env, trials=trials, seed=1,
-                                 window=window, dead_time=dead_time)
+        counts = simulate_pulse_train(fast, pulses(), env, trials=trials,
+                                      seed=1, window=window,
+                                      dead_time=dead_time)
         clicked = np.ones((trials, window), dtype=bool)
-        assert np.array_equal(h.gate_counts,
+        assert np.array_equal(counts,
                               dead_time_counts(clicked, dead_time, period))
 
 
@@ -256,11 +255,11 @@ class TestAnalyticAgreement:
         # delay the illuminated-gate click fraction estimates it through
         # eta_hat = -ln(1 - f) / mu; delta-method standard error applies
         trials = 1_000_000
-        h = simulate_pulse_train(det, pulses(mu=0.1, delay=0.0), env,
-                                 trials=trials, seed=2808, window=4,
-                                 workers=4)
+        counts = simulate_pulse_train(det, pulses(mu=0.1, delay=0.0), env,
+                                      trials=trials, seed=2808, window=4,
+                                      workers=4)
         # remove the dark/background contribution measured off-gate
-        f_click = h.gate_counts[0] / trials
+        f_click = counts[0] / trials
         p_bg = analytic_gate_probabilities(det, pulses(0.1, 0.0), env, 4)[-1]
         f_light = 1 - (1 - f_click) / (1 - p_bg)
         eta_hat = -np.log(1 - f_light) / 0.1
@@ -271,20 +270,20 @@ class TestAnalyticAgreement:
 
     def test_single_photon_frequencies_within_four_sigma(self, det, env):
         trials = 100000
-        h = simulate_pulse_train(det, pulses(), env, trials=trials, seed=99,
-                                 window=10)
+        counts = simulate_pulse_train(det, pulses(), env, trials=trials,
+                                      seed=99, window=10)
         expected = analytic_gate_probabilities(det, pulses(), env, 10)
-        freq = h.gate_counts / trials
+        freq = counts / trials
         se = np.sqrt(expected * (1 - expected) / trials)
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
 
     def test_attack_flux_frequencies_within_four_sigma(self, det, env):
         trials = 100000
         p = pulses(mu=80.0, delay=153.0)
-        h = simulate_pulse_train(det, p, env, trials=trials, seed=99,
-                                 window=10)
+        counts = simulate_pulse_train(det, p, env, trials=trials, seed=99,
+                                      window=10)
         expected = analytic_gate_probabilities(det, p, env, 10)
-        freq = h.gate_counts / trials
+        freq = counts / trials
         se = np.sqrt(expected * (1 - expected) / trials)
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
 
@@ -292,9 +291,9 @@ class TestAnalyticAgreement:
         trials = 60000
         train = [(0, PulseSpec(40.0, 150.0)), (3, PulseSpec(0.5, 10.0)),
                  (5, PulseSpec(80.0, 160.0))]
-        h = simulate_pulse_train(det, train, env, trials=trials, seed=5,
-                                 window=12)
+        counts = simulate_pulse_train(det, train, env, trials=trials, seed=5,
+                                      window=12)
         expected = analytic_gate_probabilities(det, train, env, 12)
-        freq = h.gate_counts / trials
+        freq = counts / trials
         se = np.sqrt(expected * (1 - expected) / trials)
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
