@@ -241,10 +241,16 @@ def _check_flux(mean_flux) -> None:
 
 def trap_lifetime(species: TrapSpecies, env: Environment) -> float:
     """Arrhenius release lifetime in ps at the environment temperature;
-    math.inf (no release) where the exponential overflows."""
+    math.inf (no release) where the exponential overflows, or where k_B T
+    underflows to 0 under a positive activation energy."""
+    if species.activation_energy == 0:
+        return species.lifetime_prefactor
+    kt = K_BOLTZMANN_EV * env.temperature
+    if kt == 0:
+        return math.inf
     try:
         return species.lifetime_prefactor * math.exp(
-            species.activation_energy / (K_BOLTZMANN_EV * env.temperature))
+            species.activation_energy / kt)
     except OverflowError:
         return math.inf
 

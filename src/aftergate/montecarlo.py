@@ -9,18 +9,18 @@ integer sum per gate, which is associative and commutative.
 Every click source of a gate is independent of the others and of every other
 gate: the light click (Poisson avalanche count at least the gain-dependent
 threshold), trap release (Poisson(mean) >= 1, a Bernoulli with probability
-1 - exp(-mean)), dark counts and the flat afterpulse background. So gate g
-clicks with the exact probability p_g of the analytic oracle, independently
-of every other gate. Under a non-paralyzable dead time a trial's accepted
-clicks then form a chain: from an eligible gate s the next accepted click is
-the first click at a gate j >= s, with probability
-p_j * prod_{s <= i < j} (1 - p_i), and the next eligible gate is the first
-i > j whose time i*T - j*T is at least the dead time. The engine samples
-that chain directly, one uniform per step of each still-active trial,
-inverting the conditional first-click law on a cumulative log-survival
-table. This is the same law as drawing every (trial, gate) cell and
-filtering, at a cost that grows with the trials and the accepted clicks
-instead of with trials x gates.
+1 - exp(-mean)), dark counts and the flat afterpulse background. So gate j
+clicks with the exact probability p_j of the analytic oracle, independently
+of every other gate and of the trial's history. Under a non-paralyzable dead
+time a trial is live at gate j unless an accepted click keeps it dead; a
+trial that clicks at j is live again at the first gate i > j whose time
+i*T - j*T is at least the dead time. Given the history, the live trials at
+gate j thus click independently with probability p_j, and their accepted
+clicks are exactly Binomial(live_j, p_j). The engine draws that one binomial
+per gate and chunk, which is the same law as drawing every (trial, gate)
+cell and filtering, at a cost of chunks x window scalar draws whatever the
+number of trials per chunk. A seed fixes the counts of this draw order
+only: a per-trial sampler of the same law gives other counts for the seed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .detector import (DetectorParams, Environment, PulseSpec,  # noqa: F401
                        afterpulse_background, delayed_release_mean,
                        poisson_tail, trap_loading)
 
-_CHUNK = 8192
+_CHUNK = 1 << 16
 
 
 def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
@@ -59,25 +59,11 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
     return 1.0 - p_no_click * (1.0 - ap_bg)
 
 
-def _chain_tables(p_click: np.ndarray, dead_time: float,
-                  gate_period: float):
-    """The tables _run_chunk samples a trial's accepted clicks from.
-
-    neg_log_surv[k] = -sum_{i<k} log(1 - p_i), over the gates with p_i < 1,
-    so the first click from start s lies past gate j with probability
-    exp(neg_log_surv[s] - neg_log_surv[j + 1]). A gate with p = 1 adds
-    nothing there; instead certain[s] is the first such gate at or after s,
-    where the search stops. next_start[j] is the first gate i > j with
-    i*T - j*T >= dead_time, as dead_time_counts compares them. Gates past
-    the window read as `window`.
-    """
-    window = p_click.size
-    sure = p_click >= 1.0
-    neg_log_surv = np.zeros(window + 1)
-    np.cumsum(-np.log1p(-np.where(sure, 0.0, p_click)), out=neg_log_surv[1:])
-    certain = np.append(np.flatnonzero(sure), window)
-    certain = certain[np.searchsorted(certain, np.arange(window))]
-
+def _next_start(window: int, dead_time: float,
+                gate_period: float) -> np.ndarray:
+    """next_start[j] is the first gate i > j with i*T - j*T >= dead_time, as
+    dead_time_counts compares them; gates past the window read as
+    `window`."""
     gate = np.arange(window)
     steps = int(min(max(np.ceil(dead_time / gate_period), 1), window))
     next_start = np.minimum(gate + steps, window)
@@ -90,30 +76,28 @@ def _chain_tables(p_click: np.ndarray, dead_time: float,
         next_start[back] -= 1
     while np.any(ahead := (next_start < window) & ~eligible(next_start)):
         next_start[ahead] += 1
-    return neg_log_surv, certain, next_start
+    return next_start
 
 
-def _run_chunk(seed: int, chunk_index: int, n: int, neg_log_surv: np.ndarray,
-               certain: np.ndarray, next_start: np.ndarray) -> np.ndarray:
-    """Per-gate accepted-click counts of n trials (see _chain_tables).
+def _run_chunk(seed: int, chunk_index: int, n: int, p_click: np.ndarray,
+               next_start: np.ndarray) -> np.ndarray:
+    """Per-gate accepted-click counts of n trials.
 
-    Each step draws one uniform u per still-active trial, in trial order,
-    and picks the first gate j >= start whose survival from start falls
-    below 1 - u."""
+    Gate by gate, the live trials click as one Binomial(live, p_j) draw;
+    the trials that clicked leave and are live again at next_start[j]."""
     key = np.array([seed, chunk_index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    window = next_start.size
-    counts = np.zeros(window, dtype=np.int64)
-    start = np.zeros(n, dtype=np.intp)
-    while start.size:
-        target = neg_log_surv[start] - np.log1p(-rng.random(start.size))
-        gate = np.searchsorted(neg_log_surv, target, side="right") - 1
-        gate = np.minimum(gate, certain[start])
-        gate = gate[gate < window]
-        counts += np.bincount(gate, minlength=window)
-        start = next_start[gate]
-        start = start[start < window]
-    return counts
+    window = p_click.size
+    counts = [0] * window
+    back = [0] * (window + 1)
+    live = n
+    for j, (p, nxt) in enumerate(zip(p_click.tolist(), next_start.tolist())):
+        live += back[j]
+        c = rng.binomial(live, p)
+        counts[j] = c
+        live -= c
+        back[nxt] += c
+    return np.array(counts, dtype=np.int64)
 
 
 def simulate_pulse_train(det: DetectorParams,
@@ -144,16 +128,18 @@ def simulate_pulse_train(det: DetectorParams,
     if any(b <= a for a, b in zip(gates, gates[1:])):
         raise ValueError("pulse gate indices must be strictly increasing")
 
-    tables = _chain_tables(analytic_gate_probabilities(det, pulses, env,
-                                                       window),
-                           dead_time, det.timing.gate_period)
+    p_click = analytic_gate_probabilities(det, pulses, env, window)
+    next_start = _next_start(window, dead_time, det.timing.gate_period)
     n_chunks = (trials + _CHUNK - 1) // _CHUNK
 
-    def work(i):
-        return _run_chunk(seed, i, min(_CHUNK, trials - i * _CHUNK), *tables)
+    def work(chunks):
+        return sum(_run_chunk(seed, i, min(_CHUNK, trials - i * _CHUNK),
+                              p_click, next_start) for i in chunks)
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(work, range(n_chunks)))
-    return sum(map(work, range(n_chunks)))
+    blocks = [b.tolist() for b in np.array_split(np.arange(n_chunks),
+                                                  min(workers, n_chunks))]
+    if len(blocks) == 1:
+        return work(blocks[0])
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
+        return sum(pool.map(work, blocks))

@@ -477,14 +477,18 @@ class TestErrorPaths:
           for command in ("sweep", "histogram", "gate2", "attack-hist",
                           "partial-attack")],
         (["--set", "feasibility.temperatures=1e-3", "feasibility"], 0, ""),
+        *[(["--set", "environment.temperature=1e-322", command], 0, "")
+          for command in ("sweep", "histogram")],
     ], ids=["attack_hist_one_gate", "non_utf8_config", "cold_sweep",
             "cold_histogram", "cold_gate2", "cold_attack_hist",
-            "cold_partial_attack", "cold_feasibility"])
+            "cold_partial_attack", "cold_feasibility", "underflow_sweep",
+            "underflow_histogram"])
     def test_edge_input_keeps_exit_contract(self, tmp_path, argv, code,
                                             stderr):
         # these once ended in a traceback: attack-hist with one gate after
-        # writing its files, and 1e-3 K in trap_lifetime's math.exp; a
-        # non-UTF-8 config was reported as a numerical failure
+        # writing its files, 1e-3 K in trap_lifetime's math.exp and 1e-322 K
+        # in its division by k_B T; a non-UTF-8 config was reported as a
+        # numerical failure
         (tmp_path / "latin1.ini").write_bytes(b"[detector]\nunit = \xb5s\n")
         out = tmp_path / "out"
         proc = run_child(["--out", out, "--trials", "20000",

@@ -56,6 +56,13 @@ class TestTrapLifetime:
             e = Environment(temperature=t)
             assert trap_lifetime(low, e) < trap_lifetime(high, e)
 
+    def test_underflowing_temperature_is_the_cold_limit(self):
+        # k_B * 1e-322 K underflows to 0: a positive barrier never releases,
+        # a zero barrier keeps its prefactor
+        tiny = Environment(temperature=1e-322)
+        assert trap_lifetime(species(0.030, 50.0), tiny) == math.inf
+        assert trap_lifetime(species(0.0, 100.0), tiny) == 100.0
+
     def test_rejects_nonfinite_environment(self):
         with pytest.raises(ValueError):
             Environment(temperature=float("nan"))

@@ -115,31 +115,29 @@ class TestEdgeCases:
 
 class TestDeadTime:
     @pytest.mark.parametrize("dead_time", [0.0, 2500.0])
-    def test_stream_is_documented_click_chain(self, det, env, dead_time):
+    def test_stream_is_documented_binomial_recursion(self, det, env,
+                                                     dead_time):
         # the documented stream: chunk i draws from Philox keyed by (seed, i);
-        # each step draws one uniform u per still-active trial, in trial
-        # order, and the trial's next accepted click is the first gate
-        # j >= start whose survival prod_{start<=g<=j}(1 - p_g) is below 1 - u
+        # gate by gate, the chunk's live trials click as one
+        # Binomial(live, p_j) draw, and the trials that clicked are live
+        # again at the first gate the dead time lets through
         train = pulses(mu=40.0, delay=150.0)
-        trials, window, seed = 20000, 6, 11
+        trials, window, seed = _CHUNK + 5000, 6, 11
+        period = det.timing.gate_period
         p = analytic_gate_probabilities(det, train, env, window)
         expected = np.zeros(window, dtype=np.int64)
         for i, first in enumerate(range(0, trials, _CHUNK)):
             rng = np.random.Generator(np.random.Philox(
                 key=np.array([seed, i], dtype=np.uint64)))
-            starts = [0] * min(_CHUNK, trials - first)
-            while starts:
-                following = []
-                for s, u in zip(starts, rng.random(len(starts))):
-                    hits = np.flatnonzero(np.cumprod(1.0 - p[s:]) < 1.0 - u)
-                    if hits.size:
-                        gate = s + int(hits[0])
-                        expected[gate] += 1
-                        nxt = next_eligible(gate, window, dead_time,
-                                            det.timing.gate_period)
-                        if nxt < window:
-                            following.append(nxt)
-                starts = following
+            live = min(_CHUNK, trials - first)
+            returning = np.zeros(window + 1, dtype=np.int64)
+            for j in range(window):
+                live += returning[j]
+                clicks = rng.binomial(live, p[j])
+                expected[j] += clicks
+                live -= clicks
+                returning[next_eligible(j, window, dead_time, period)] += \
+                    clicks
         counts = simulate_pulse_train(det, train, env, trials=trials,
                                       seed=seed, window=window,
                                       dead_time=dead_time)
@@ -182,11 +180,15 @@ TRAINS = {
 
 
 class TestExactLaw:
-    @pytest.mark.parametrize("dead_time", [0.0, 2500.0, 12000.0])
+    @pytest.mark.parametrize("dead_time, window", [
+        (0.0, 12), (2500.0, 12), (12000.0, 12), (50000.0, 1000)],
+        ids=["0.0", "2500.0", "12000.0", "long_window"])
     @pytest.mark.parametrize("train", sorted(TRAINS))
-    def test_counts_follow_dead_time_law(self, det, env, train, dead_time):
-        # 12000 ps is the window span: only each trial's first click counts
-        trials, window = 100000, 12
+    def test_counts_follow_dead_time_law(self, det, env, train, dead_time,
+                                         window):
+        # 12000 ps is the 12-gate window's span: only each trial's first
+        # click counts; the long window spans twenty 50-gate dead times
+        trials = 100000
         counts = simulate_pulse_train(det, TRAINS[train], env, trials=trials,
                                       seed=404, window=window, workers=2,
                                       dead_time=dead_time)
@@ -228,6 +230,36 @@ class TestExactLaw:
                                       seed=9, window=p.size, dead_time=1500.0)
         assert 0 < counts[1] and counts[2] == trials - counts[1]
         assert counts[3] == 0
+
+    @pytest.mark.parametrize("dead_time", [0.0, 2500.0])
+    def test_count_dispersion_matches_click_matrix_filter(self, det, env,
+                                                          monkeypatch,
+                                                          dead_time):
+        # the 4-sigma tests check only means; here the engine's per-gate
+        # mean and variance over many small runs must match those of an
+        # independent oracle, a Bernoulli (trial, gate) click matrix
+        # filtered by dead_time_counts
+        p = np.array([0.6, 0.3, 0.5, 0.9, 0.2, 0.45, 0.05, 0.7])
+        monkeypatch.setattr(montecarlo, "analytic_gate_probabilities",
+                            lambda *args: p)
+        runs, trials, period = 2000, 10, det.timing.gate_period
+        engine = np.array([simulate_pulse_train(
+            det, pulses(), env, trials=trials, seed=seed, window=p.size,
+            dead_time=dead_time) for seed in range(runs)])
+        rng = np.random.default_rng(2011)
+        oracle = np.array([dead_time_counts(rng.random((trials, p.size)) < p,
+                                            dead_time, period)
+                           for _ in range(runs)])
+
+        def moments(x):
+            mean, var = x.mean(axis=0), x.var(axis=0)
+            fourth = ((x - mean) ** 4).mean(axis=0)
+            return mean, var, var / runs, (fourth - var ** 2) / runs
+
+        m_e, v_e, se2_m_e, se2_v_e = moments(engine)
+        m_o, v_o, se2_m_o, se2_v_o = moments(oracle)
+        assert np.all(np.abs(m_e - m_o) <= 4 * np.sqrt(se2_m_e + se2_m_o))
+        assert np.all(np.abs(v_e - v_o) <= 4 * np.sqrt(se2_v_e + se2_v_o))
 
     @pytest.mark.parametrize("k, j", [(1, 59), (2, 59), (4, 59), (7, 3),
                                       (3, 0)])
