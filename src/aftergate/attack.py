@@ -103,12 +103,11 @@ def _delay_grid(det: DetectorParams, delays) -> np.ndarray:
 
 def _sweep_arrays(det: DetectorParams, flux: float, delays, env: Environment):
     """p_f, p_h, p_dd_f, p_dd_h, p_bar, q_target and q_with_dd over a delay
-    grid, at full power `flux` and half power flux / 2; no-signal delays
-    give NaN QBERs."""
-    p_f = click_probability_array(det, flux, delays)
-    p_h = click_probability_array(det, flux / 2.0, delays)
-    p_ddf = delayed_click_probability_arrays(det, flux, delays, env)
-    p_ddh = delayed_click_probability_arrays(det, flux / 2.0, delays, env)
+    grid, at full power `flux` and half power flux / 2 in one broadcast pass
+    (powers on a leading axis); no-signal delays give NaN QBERs."""
+    fluxes = np.array([flux, flux / 2.0]).reshape((2,) + (1,) * np.ndim(delays))
+    p_f, p_h = click_probability_array(det, fluxes, delays)
+    p_ddf, p_ddh = delayed_click_probability_arrays(det, fluxes, delays, env)
     p_bar = _mean_delayed_array(p_ddf, p_ddh)
     return (p_f, p_h, p_ddf, p_ddh, p_bar, _qber_array(p_f, p_h),
             _qber_with_dd_array(p_f, p_h, p_bar))

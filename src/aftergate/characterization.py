@@ -80,9 +80,7 @@ def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
 def estimate_background(counts: np.ndarray) -> float:
     """Mean count of gates 6 onward (1-based), past the decay region."""
     tail = counts[5:]
-    if tail.size == 0:
-        return 0.0
-    return float(np.mean(tail))
+    return float(np.mean(tail)) if tail.size else 0.0
 
 
 def extract_lifetime(counts, gate_period: float,

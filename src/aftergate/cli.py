@@ -136,9 +136,8 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
         "threshold": threshold,
     }
     io.write_json(out / "sweep_summary.json", summary)
-    print(f"min target QBER {summary['min_q_target']:.4f} at "
-          f"{summary['min_q_target_delay_ps']:.2f} ps; "
-          f"min corrected QBER {summary['min_q_with_dd']:.4f}")
+    print(f"min target QBER {q_min:.4f} at {delay:.2f} ps; "
+          f"min corrected QBER {q_dd_min:.4f}")
 
 
 def cmd_attack_hist(cfg: RunConfig, args, out: Path) -> None:

@@ -98,9 +98,7 @@ _SCHEMA = {
         "pulse_delay": _float,
         "dead_time": _nonnegative,
     },
-    "gate2": {
-        "delay_points": _count,
-    },
+    "gate2": {"delay_points": _count},
     "contour": {
         "flux_min": _positive,
         "flux_max": _positive,
@@ -116,9 +114,7 @@ _SCHEMA = {
         "temperatures": _temperatures,
         "qber_threshold": _float,
     },
-    "partial_attack": {
-        "fraction_points": _count,
-    },
+    "partial_attack": {"fraction_points": _count},
     "run": {
         "seed": _seed,
         "trials": _count,
@@ -159,7 +155,7 @@ def _cast(section: str, key: str, raw: str):
 def _parse(path: Path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from exc
     if not read:

@@ -263,19 +263,23 @@ def poisson_tail(k, lam) -> np.ndarray:
     is the Poisson head sum over j < k (DLMF 8.4.10). Where lam >= k the tail
     is 1 minus the head, summed down from pmf(k-1); elsewhere it is summed up
     from pmf(k). Each first term is exp(n log(lam) - lam - lgamma(n + 1)),
-    so no e^-lam factor underflows on its own.
+    so no e^-lam factor underflows on its own. lgamma runs once per
+    distinct k, for both branches, before k is broadcast against lam.
     """
-    k, lam = np.broadcast_arrays(np.asarray(k, dtype=float),
-                                 np.asarray(lam, dtype=float))
+    k, lam = np.asarray(k, dtype=float), np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ValueError("Poisson mean must be >= 0")
+    distinct, index = np.unique(k, return_inverse=True)
+    ks = distinct.tolist()
+    index = index.reshape(k.shape)
+    fact_down = np.array([math.lgamma((n - 1.0) + 1.0) for n in ks])[index]
+    fact_up = np.array([math.lgamma(n + 1.0) for n in ks])[index]
+    k, lam = np.broadcast_arrays(k, lam)
     down = lam >= k
     first = np.where(down, k - 1.0, k)
-    distinct, index = np.unique(first, return_inverse=True)
-    log_fact = np.array([math.lgamma(n + 1.0) for n in distinct.tolist()])
     with np.errstate(divide="ignore"):
         pmf = np.exp(first * np.log(lam) - lam
-                     - log_fact[index].reshape(first.shape))
+                     - np.where(down, fact_down, fact_up))
     out = np.empty(k.shape)
     k_d, lam_d = k[down], lam[down]
     out[down] = 1.0 - _series(pmf[down], lambda j: (k_d - j) / lam_d)
@@ -285,7 +289,10 @@ def poisson_tail(k, lam) -> np.ndarray:
 
 
 def _series(term, ratio):
-    """term * (1 + ratio(1) + ratio(1) ratio(2) + ...) to 1e-17 relative."""
+    """term * (1 + ratio(1) + ratio(1) ratio(2) + ...) to 1e-17 relative.
+    The loop runs until every element converges. Once term <= 1e-17 * total
+    it is below half an ulp of total and later terms are smaller (ratio < 1),
+    so a batched grid's extra terms round away and change no bit."""
     total = term
     j = 1
     while np.any(term > 1e-17 * total):

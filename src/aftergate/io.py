@@ -17,20 +17,20 @@ def write_text(path, text: str) -> None:
     """Write an output file with LF line ends, making its directory first:
     a run that fails before its first write leaves no directory."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
 def _cells(column, sep: str) -> np.ndarray:
     """A column's cells as text, each followed by `sep`: floats, cast to
-    float64, as format(x, ".12g") or "nan", anything else by str(). Each
-    distinct value is found by np.unique and formatted once. Floats are
-    keyed by bit pattern; keyed by value, -0.0 and 0.0 would share a text."""
+    float64, as format(x, ".12g") (every NaN prints "nan"), anything else
+    by str(). Each distinct value is found by np.unique and formatted once.
+    Floats are keyed by bit pattern; keyed by value, -0.0 and 0.0 would
+    share a text."""
     if column.dtype.kind == "f":
         bits = column.astype(np.float64, copy=False).view(np.int64)
         distinct, index = np.unique(bits, return_inverse=True)
-        text = ["nan" if math.isnan(x) else format(x, ".12g")
-                for x in distinct.view(np.float64).tolist()]
+        text = [format(x, ".12g") for x in distinct.view(np.float64).tolist()]
     else:
         distinct, index = np.unique(column, return_inverse=True)
         text = [str(x) for x in distinct.tolist()]
@@ -95,7 +95,7 @@ def write_feasibility_csv(path, band) -> None:
 def read_arrhenius_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(temperatures, lifetimes) from the temperature_k and lifetime_ps
     columns; any other column is ignored."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         required = {"temperature_k", "lifetime_ps"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -180,7 +180,8 @@ def heatmap(path, xs, ys, matrix, title, xlab, ylab, iso=None) -> None:
         for i, j in zip(*np.nonzero(edge[1:-1, :-1] != edge[1:-1, 1:])):
             parts.append(f'<line x1="{px[j]}" y1="{py[i]}" '
                          f'x2="{px[j]}" y2="{py[i + 1]}" {dash}')
-    jx, iy = (np.unique(np.linspace(0, n - 1, 5).round().astype(int))
+    # a set, not np.unique: on numpy 2.x np.unique imports numpy.ma
+    jx, iy = (sorted({round(t) for t in np.linspace(0, n - 1, 5).tolist()})
               for n in (cols, rows))
     _tick_labels(parts, [(sx(j + 0.5), xs[j]) for j in jx],
                  [(sy(i + 0.5), ys[i]) for i in iy])

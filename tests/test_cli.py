@@ -45,11 +45,13 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_child(argv, address_space=None, timeout=60, python_flags=()):
-    """cli.main(argv) in a fresh process started with python_flags. Its
-    output is captured at the file descriptors, so lines that native code
-    writes there count too. address_space (bytes) limits that process
-    alone; one BLAS thread keeps the library's own reservation small."""
+def run_child(argv, address_space=None, timeout=60, python_flags=(),
+              env=None):
+    """cli.main(argv) in a fresh process started with python_flags and the
+    extra variables `env`. Its output is captured at the file descriptors,
+    so lines that native code writes there count too. address_space (bytes)
+    limits that process alone; one BLAS thread keeps the library's own
+    reservation small."""
     code = "import resource, sys\n"
     if address_space:
         code += (f"resource.setrlimit(resource.RLIMIT_AS, "
@@ -58,7 +60,8 @@ def run_child(argv, address_space=None, timeout=60, python_flags=()):
              f"sys.exit(main({[str(a) for a in argv]!r}))\n")
     return subprocess.run([sys.executable, *python_flags, "-c", code],
                           capture_output=True, text=True, timeout=timeout,
-                          env={**child_env(), "OPENBLAS_NUM_THREADS": "1"})
+                          env={**child_env(), "OPENBLAS_NUM_THREADS": "1",
+                               **(env or {})})
 
 
 class TestHistogramCommand:
@@ -536,3 +539,54 @@ def test_import_does_not_load(module):
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=child_env())
     assert out.stdout.strip() == "[]"
+
+
+# Text is read and written as UTF-8 whatever the locale: an ASCII locale
+# without UTF-8 mode, and a run where a default text encoding is an error.
+_ENCODINGS = {
+    "ascii_locale": dict(python_flags=("-X", "utf8=0"),
+                         env={"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+    "encoding_warning": dict(python_flags=("-X", "warn_default_encoding",
+                                           "-W", "error::EncodingWarning")),
+}
+
+
+def _utf8_config(tmp_path):
+    cfg = tmp_path / "utf8.ini"
+    cfg.write_bytes(default_config_path().read_bytes()
+                    + "# 166 \u00b5m\n".encode("utf-8"))
+    return cfg
+
+
+@pytest.mark.parametrize("mode", sorted(_ENCODINGS))
+def test_writing_command_under_any_locale(tmp_path, mode):
+    out = tmp_path / "out"
+    proc = run_child(["--config", _utf8_config(tmp_path), "--out", out,
+                      *FAST, "gate2"], **_ENCODINGS[mode])
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert (out / "gate2.csv").exists() and (out / "gate2.svg").exists()
+
+
+@pytest.mark.parametrize("mode", sorted(_ENCODINGS))
+def test_arrhenius_under_any_locale(tmp_path, mode):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("note,temperature_k,lifetime_ps\n\u00b5,223.15,900.5\n"
+                   "\u00b5,293.15,480.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_child(["--config", _utf8_config(tmp_path), "--out", out,
+                      "arrhenius", "--input", pts], **_ENCODINGS[mode])
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert (out / "arrhenius_fit.json").exists()
+
+
+def test_contour_loads_no_numpy_ma(tmp_path):
+    # numpy 1.x imports numpy.ma with numpy, so compare, not require absence
+    code = ("import sys, numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from aftergate.cli import main\n"
+            f"assert main(['--out', {str(tmp_path)!r}, 'contour']) == 0\n"
+            "print(before, 'numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=child_env())
+    before, after = out.stdout.split()[-2:]
+    assert after == before
