@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, default=None,
                         help="override run.trials")
     parser.add_argument("--workers", type=int, default=None,
-                        help="override run.workers")
+                        help="override run.workers (accepted, selects "
+                             "nothing)")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
                         dest="overrides",
                         help="override a config key, e.g. "
@@ -86,8 +87,7 @@ def cmd_histogram(cfg: RunConfig, args, out: Path) -> None:
                       delay=sec["pulse_delay"])
     counts = simulate_pulse_train(
         cfg.detector, [(0, pulse)], cfg.environment, trials=run["trials"],
-        seed=run["seed"], window=gates, workers=run["workers"],
-        dead_time=sec["dead_time"])
+        seed=run["seed"], window=gates, dead_time=sec["dead_time"])
     io.write_histogram_csv(out / "histogram.csv", counts, run["trials"])
     svg.bar_chart(out / "histogram.svg",
                   [str(i + 1) for i in range(gates)], counts,

@@ -57,6 +57,14 @@ def _seed(raw: str) -> int:
     return n
 
 
+def _trials(raw: str) -> int:
+    # the binomial draw takes an int64 trial count
+    n = int(raw)
+    if not 1 <= n < 1 << 63:
+        raise ValueError("must lie in [1, 2**63)")
+    return n
+
+
 def _temperatures(raw: str) -> list[float]:
     temps = [_positive(tok) for tok in raw.replace(",", " ").split()]
     if not temps or len({f"{t:g}" for t in temps}) < len(temps):
@@ -117,7 +125,7 @@ _SCHEMA = {
     "partial_attack": {"fraction_points": _count},
     "run": {
         "seed": _seed,
-        "trials": _count,
+        "trials": _trials,
         "output_dir": str,
         "workers": _count,
     },

@@ -1,11 +1,5 @@
 """Seeded Monte Carlo engine for pulse trains.
 
-Trials are partitioned into fixed-size chunks; each chunk draws from its own
-Philox stream keyed by (seed, chunk_index), so the histogram is bit-identical
-for a given seed no matter how many workers execute the chunks. Each chunk
-returns only its per-gate counts of accepted clicks; the reduction is an
-integer sum per gate, which is associative and commutative.
-
 Every click source of a gate is independent of the others and of every other
 gate: the light click (Poisson avalanche count at least the gain-dependent
 threshold), trap release (Poisson(mean) >= 1, a Bernoulli with probability
@@ -16,11 +10,12 @@ time a trial is live at gate j unless an accepted click keeps it dead; a
 trial that clicks at j is live again at the first gate i > j whose time
 i*T - j*T is at least the dead time. Given the history, the live trials at
 gate j thus click independently with probability p_j, and their accepted
-clicks are exactly Binomial(live_j, p_j). The engine draws that one binomial
-per gate and chunk, which is the same law as drawing every (trial, gate)
-cell and filtering, at a cost of chunks x window scalar draws whatever the
-number of trials per chunk. A seed fixes the counts of this draw order
-only: a per-trial sampler of the same law gives other counts for the seed.
+clicks are exactly Binomial(live_j, p_j). The engine walks the window once
+for all trials, drawing that one binomial per gate from one Philox stream
+keyed by (seed, 0). This is the same law as drawing every (trial, gate)
+cell and filtering, at a cost of `window` scalar draws whatever the number
+of trials. A seed fixes the counts of this draw order only: a per-trial
+sampler of the same law gives other counts for the seed.
 """
 
 from __future__ import annotations
@@ -33,8 +28,6 @@ import numpy as np
 from .detector import (DetectorParams, Environment, PulseSpec,  # noqa: F401
                        afterpulse_background, delayed_release_mean,
                        poisson_tail, trap_loading)
-
-_CHUNK = 1 << 16
 
 
 def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
@@ -79,18 +72,21 @@ def _next_start(window: int, dead_time: float,
     return next_start
 
 
-def _run_chunk(seed: int, chunk_index: int, n: int, p_click: np.ndarray,
+def _run_chunk(seed: int, p_click: np.ndarray, trials: int,
                next_start: np.ndarray) -> np.ndarray:
-    """Per-gate accepted-click counts of n trials.
+    """Per-gate accepted-click counts of all trials.
 
     Gate by gate, the live trials click as one Binomial(live, p_j) draw;
-    the trials that clicked leave and are live again at next_start[j]."""
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    the trials that clicked leave and are live again at next_start[j].
+    bench/tracer.py wraps this name and reads the trial count from the
+    third positional argument, so the name and the argument order stay
+    and simulate_pulse_train calls it through the module global."""
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64)))
     window = p_click.size
     counts = [0] * window
     back = [0] * (window + 1)
-    live = n
+    live = trials
     for j, (p, nxt) in enumerate(zip(p_click.tolist(), next_start.tolist())):
         live += back[j]
         c = rng.binomial(live, p)
@@ -106,18 +102,18 @@ def simulate_pulse_train(det: DetectorParams,
                          trials: int,
                          seed: int,
                          window: int,
-                         workers: int = 1,
                          dead_time: float = 0.0) -> np.ndarray:
     """Sample `trials` repetitions of a pulse train and histogram the clicks
     of its first `window` gates.
 
     pulses is a sequence of (gate_index, PulseSpec) with strictly increasing
     gate indices. Each trial's clicks pass a non-paralyzable dead time (ps;
-    0 keeps every click) before they are counted. Returns the int64 count
-    per gate.
+    0 keeps every click) before they are counted. trials must lie in
+    [1, 2**63), the range of the binomial draw's int64 count. Returns the
+    int64 count per gate.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials < 1 << 63:
+        raise ValueError("trials must lie in [1, 2**63)")
     if not 0 <= seed < 1 << 64:
         raise ValueError("seed must lie in [0, 2**64)")
     if not dead_time >= 0:
@@ -130,16 +126,4 @@ def simulate_pulse_train(det: DetectorParams,
 
     p_click = analytic_gate_probabilities(det, pulses, env, window)
     next_start = _next_start(window, dead_time, det.timing.gate_period)
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
-
-    def work(chunks):
-        return sum(_run_chunk(seed, i, min(_CHUNK, trials - i * _CHUNK),
-                              p_click, next_start) for i in chunks)
-
-    blocks = [b.tolist() for b in np.array_split(np.arange(n_chunks),
-                                                  min(workers, n_chunks))]
-    if len(blocks) == 1:
-        return work(blocks[0])
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        return sum(pool.map(work, blocks))
+    return _run_chunk(seed, p_click, trials, next_start)

@@ -148,7 +148,7 @@ def test_criterion_6_monte_carlo_matches_analytic():
         train = [(0, pulse)]
         counts = simulate_pulse_train(det, train, env, trials=trials,
                                       seed=int(rng.integers(0, 2 ** 63)),
-                                      window=window, workers=4)
+                                      window=window)
         expected = analytic_gate_probabilities(det, train, env, window)
         freq = counts / trials
         se = np.sqrt(expected * (1.0 - expected) / trials)

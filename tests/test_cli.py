@@ -6,10 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import aftergate
 from aftergate.cli import main
@@ -359,6 +364,8 @@ class TestErrorPaths:
          ["--set", "feasibility.temperatures=293.15, 0", "feasibility"]),
         ("histogram.dead_time",
          ["--set", "histogram.dead_time=-1", "histogram"]),
+        # the binomial draw takes an int64 count
+        ("run.trials", ["--trials", str(2 ** 63), "histogram"]),
     ])
     def test_count_and_seed_out_of_range_is_config_error(self, tmp_path,
                                                          capsys, key, argv):
@@ -463,6 +470,15 @@ class TestErrorPaths:
         assert main(["--out", str(tmp_path), "--seed", str(2 ** 64 - 1),
                      "--trials", "1000", "histogram"]) == 0
 
+    @pytest.mark.parametrize("trials", [10 ** 12, 2 ** 63 - 1])
+    def test_huge_trial_count_runs_in_seconds(self, tmp_path, trials):
+        # the engine makes one binomial draw per gate whatever the trial
+        # count, up to the int64 limit
+        proc = run_child(["--out", tmp_path, "--trials", trials, "histogram"],
+                         timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "histogram.csv").exists()
+
     def test_huge_discrimination_threshold_runs(self, tmp_path):
         # threshold counts reach 1e8 here; poisson_tail once tabulated
         # lgamma over every integer below them and ran out of memory
@@ -531,6 +547,48 @@ class TestErrorPaths:
         assert not (tmp_path / "b").exists()
 
 
+# Edge values for the keys the histogram command reads: 0, negative, NaN,
+# inf, empty, text, huge and the 1000 ps period bounds of the shipped 1 GHz
+# clock. histogram.gates stays at most 2000 and run.workers at most 2, so no
+# case asks for a large window or many threads.
+_EDGES = ["0", "-1", "nan", "inf", "-inf", "", "ten"]
+_HISTOGRAM_KEYS = {
+    "run.trials": [*_EDGES, "1", "1000", str(2 ** 63 - 1), str(2 ** 63),
+                   "1" + "0" * 30],
+    "run.seed": [*_EDGES, "1", str(2 ** 64 - 1), str(2 ** 64), "1" + "0" * 30],
+    "run.workers": [*_EDGES, "1", "2"],
+    "histogram.gates": [*_EDGES, "1", "2", "2000"],
+    "histogram.dead_time": [*_EDGES, "-0", "5e-324", "999.9999999999999",
+                            "1000", "1000.0000000000001", "1e308"],
+    "histogram.pulse_delay": [*_EDGES, "-0", "5e-324", "999.9999999999999",
+                              "1000", "1e308"],
+    "scenario.signal_flux": [*_EDGES, "5e-324", "0.1", "1e6", "1e308"],
+}
+
+
+@given(st.fixed_dictionaries({key: st.none() | st.sampled_from(values)
+                              for key, values in _HISTOGRAM_KEYS.items()}))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_histogram_overrides_keep_exit_contract(tmp_path, values):
+    # each example writes into its own directory under tmp_path; histogram
+    # computes everything before its first write, so a failure leaves none
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+    argv = [arg for key, raw in values.items() if raw is not None
+            for arg in ("--set", f"{key}={raw}")]
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(["--out", str(out), *argv, "histogram"])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+    else:
+        assert err == ""
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "logging"])
 def test_import_does_not_load(module):
     code = ("import sys, aftergate, aftergate.cli; "
@@ -577,6 +635,18 @@ def test_arrhenius_under_any_locale(tmp_path, mode):
                       "arrhenius", "--input", pts], **_ENCODINGS[mode])
     assert proc.returncode == 0 and "Traceback" not in proc.stderr
     assert (out / "arrhenius_fit.json").exists()
+
+
+def test_histogram_starts_no_thread_pool(tmp_path):
+    # --workers is accepted but selects nothing: the engine is one chain
+    code = ("import sys\n"
+            "from aftergate.cli import main\n"
+            f"assert main(['--out', {str(tmp_path)!r}, '--workers', '2', "
+            "'histogram']) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=child_env())
+    assert out.stdout.split()[-1] == "False"
 
 
 def test_contour_loads_no_numpy_ma(tmp_path):
