@@ -9,6 +9,7 @@ into an activation energy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,7 +107,10 @@ def extract_lifetime(counts, gate_period: float,
         background = estimate_background(counts)
     elif not 0 <= background < math.inf:
         raise ValueError("background must be finite and >= 0")
-    anchor, probe = use_gates
+    try:
+        anchor, probe = map(operator.index, use_gates)
+    except TypeError:
+        raise ValueError(f"use_gates {use_gates} must be integers") from None
     if not (1 <= anchor < probe <= counts.size):
         raise ValueError(f"use_gates {use_gates} outside histogram of "
                          f"{counts.size} gates")

@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from importlib import resources
 from pathlib import Path
 from typing import get_type_hints
 
@@ -145,7 +144,7 @@ class RunConfig:
 
 
 def default_config_path() -> Path:
-    return Path(resources.files("aftergate").joinpath("data/default.ini"))
+    return Path(__file__).parent / "data" / "default.ini"
 
 
 def _cast(section: str, key: str, raw: str):

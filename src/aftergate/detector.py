@@ -281,25 +281,36 @@ def poisson_tail(k, lam) -> np.ndarray:
         pmf = np.exp(first * np.log(lam) - lam
                      - np.where(down, fact_down, fact_up))
     out = np.empty(k.shape)
-    k_d, lam_d = k[down], lam[down]
-    out[down] = 1.0 - _series(pmf[down], lambda j: (k_d - j) / lam_d)
-    k_u, lam_u = k[~down], lam[~down]
-    out[~down] = _series(pmf[~down], lambda j: lam_u / (k_u + j))
+    out[down] = 1.0 - _series(pmf[down], lambda j, k, lam: (k - j) / lam,
+                              k[down], lam[down])
+    out[~down] = _series(pmf[~down], lambda j, k, lam: lam / (k + j),
+                         k[~down], lam[~down])
     return out
 
 
-def _series(term, ratio):
-    """term * (1 + ratio(1) + ratio(1) ratio(2) + ...) to 1e-17 relative.
-    The loop runs until every element converges. Once term <= 1e-17 * total
-    it is below half an ulp of total and later terms are smaller (ratio < 1),
-    so a batched grid's extra terms round away and change no bit."""
+def _series(term, ratio, k, lam):
+    """term * (1 + r(1) + r(1) r(2) + ...) to 1e-17 relative, elementwise
+    over 1-D arrays, where r(j) = ratio(j, k, lam).
+
+    Once term <= 1e-17 * total it is below half an ulp of total and later
+    terms are smaller (|r| < 1), so further terms round away and change
+    no bit. Every fourth term the converged elements therefore leave the
+    working arrays, and each element ends with the bits it would have had
+    had every element run until the last one converged."""
+    out = np.empty_like(term)
+    where = np.arange(term.size)
     total = term
     j = 1
-    while np.any(term > 1e-17 * total):
-        term = term * ratio(j)
+    while (live := term > 1e-17 * total).any():
+        if j % 4 == 0 and not live.all():
+            out[where[~live]] = total[~live]
+            where, term, total, k, lam = (
+                a[live] for a in (where, term, total, k, lam))
+        term = term * ratio(j, k, lam)
         total = total + term
         j += 1
-    return total
+    out[where] = total
+    return out
 
 
 def click_probability_array(det: DetectorParams, mean_flux, delays) -> np.ndarray:

@@ -20,6 +20,7 @@ sampler of the same law gives other counts for the seed.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +38,14 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
 
     The per-gate probability that neither light, trap release nor a dark
     count clicks sets the flat afterpulse background, an independent last
-    source. Every pulse gate must lie in [0, window)."""
-    if not all(0 <= gate < window for gate, _ in pulses):
+    source. window and every pulse gate are integers, each gate in
+    [0, window)."""
+    try:
+        window = operator.index(window)
+        gates = [operator.index(gate) for gate, _ in pulses]
+    except TypeError:
+        raise ValueError("window and pulse gates must be integers") from None
+    if not all(0 <= gate < window for gate in gates):
         raise ValueError(f"pulse gates must lie in [0, window={window})")
     p_no_click = np.full(window, 1.0 - det.dark_count_prob)
     for gate, pulse in pulses:
@@ -108,10 +115,14 @@ def simulate_pulse_train(det: DetectorParams,
 
     pulses is a sequence of (gate_index, PulseSpec) with strictly increasing
     gate indices. Each trial's clicks pass a non-paralyzable dead time (ps;
-    0 keeps every click) before they are counted. trials must lie in
-    [1, 2**63), the range of the binomial draw's int64 count. Returns the
-    int64 count per gate.
+    0 keeps every click) before they are counted. trials, seed, window and
+    the gate indices are integers; trials must lie in [1, 2**63), the range
+    of the binomial draw's int64 count. Returns the int64 count per gate.
     """
+    try:
+        trials, seed = operator.index(trials), operator.index(seed)
+    except TypeError:
+        raise ValueError("trials and seed must be integers") from None
     if not 1 <= trials < 1 << 63:
         raise ValueError("trials must lie in [1, 2**63)")
     if not 0 <= seed < 1 << 64:

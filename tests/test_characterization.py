@@ -162,13 +162,17 @@ class TestExtractLifetime:
         ("gate_period", 0.0, "gate_period"),
         ("background", math.nan, "background"),
         ("background", math.inf, "background"),
-        ("background", -1.0, "background")],
+        ("background", -1.0, "background"),
+        ("use_gates", (1.0, 3.0), "use_gates"),
+        ("use_gates", (1, 2.5), "use_gates")],
         ids=["counts-nan", "counts-inf", "counts-negative", "counts-2d",
              "gate_period-nan", "gate_period-inf", "gate_period-zero",
-             "background-nan", "background-inf", "background-negative"])
+             "background-nan", "background-inf", "background-negative",
+             "use_gates-float", "use_gates-fraction"])
     def test_bad_argument_rejected(self, arg, value, message):
         # unchecked, a NaN background returned NaN, an inf anchor count a
-        # lifetime of 0.0 ps and an inf gate_period an inf lifetime
+        # lifetime of 0.0 ps, an inf gate_period an inf lifetime and float
+        # use_gates raised numpy's IndexError
         args = {"counts": [100.0, 50.0, 20.0], "gate_period": 1000.0,
                 "background": 1.0}
         with pytest.raises(ValueError, match=message):

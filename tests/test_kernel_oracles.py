@@ -1,9 +1,10 @@
 """Bit-identity of the analytic kernels against the versions they replaced.
 
-The attack sweep once ran the kernel stack once per power, and the Poisson
-tail once called lgamma on every cell of the broadcast grid. Both are kept
-verbatim below as oracles: the current kernels must reproduce them to the
-last bit, compared as int64 bit patterns.
+The attack sweep once ran the kernel stack once per power, the Poisson
+tail once called lgamma on every cell of the broadcast grid, and its series
+once updated every element until the last one converged. All three are
+kept verbatim below as oracles: the current kernels must reproduce them to
+the last bit, compared as int64 bit patterns.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from aftergate import Environment
 from aftergate.attack import (_mean_delayed_array, _qber_array,
                               _qber_with_dd_array, _sweep_arrays)
-from aftergate.detector import (click_probability_array,
+from aftergate.detector import (_series, click_probability_array,
                                 delayed_click_probability_arrays,
                                 poisson_tail)
 from aftergate.feasibility import rescale_detector
@@ -146,6 +147,31 @@ class TestPoissonTail:
                          oracle_poisson_tail(k[0], lam))
         assert_same_bits(poisson_tail(k[0], lam[0]),
                          oracle_poisson_tail(k[0], lam[0]))
+
+
+_SERIES_PAIR = st.integers(1, 60).flatmap(lambda k: st.tuples(
+    st.just(float(k)),
+    st.one_of(st.just(0.0), st.just(float(k)), st.floats(0.0, 200.0))))
+
+
+class TestSeries:
+    @given(st.lists(_SERIES_PAIR, min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_compacted_series_matches_full_loop(self, pairs):
+        # both branches of poisson_tail, on (k, lam) pairs whose elements
+        # converge after different numbers of terms
+        k, lam = np.array(pairs).T
+        down = lam >= k
+        first = np.where(down, k - 1.0, k)
+        log_fact = np.array([math.lgamma(n + 1.0) for n in first.tolist()])
+        with np.errstate(divide="ignore"):
+            pmf = np.exp(first * np.log(lam) - lam - log_fact)
+        for branch, ratio in ((down, lambda j, k, lam: (k - j) / lam),
+                              (~down, lambda j, k, lam: lam / (k + j))):
+            k_b, lam_b = k[branch], lam[branch]
+            assert_same_bits(
+                _series(pmf[branch], ratio, k_b, lam_b),
+                oracle_series(pmf[branch], lambda j: ratio(j, k_b, lam_b)))
 
 
 def test_heatmap_ticks_match_np_unique():

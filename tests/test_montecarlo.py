@@ -103,6 +103,35 @@ class TestEdgeCases:
             simulate_pulse_train(det, pulses(), env, trials=10, seed=1,
                                  window=8, dead_time=-1.0)
 
+    @pytest.mark.parametrize("arg, value", [
+        ("trials", 1000.9), ("trials", 1000.0), ("seed", 1.9),
+        ("seed", np.float64(1.0))])
+    def test_non_integral_count_rejected(self, det, env, arg, value):
+        # trials=1000.9 once returned the counts of trials=1000 and
+        # seed=1.9 those of seed 1
+        args = {"trials": 1000, "seed": 1, arg: value}
+        with pytest.raises(ValueError, match="integers"):
+            simulate_pulse_train(det, pulses(), env, window=8, **args)
+
+    @pytest.mark.parametrize("gate, window", [
+        (0, 8.5), (0, np.float64(8.0)), (0.5, 8), (0.0, 8)])
+    def test_non_integral_gate_rejected(self, det, env, gate, window):
+        # a float window raised numpy's TypeError, a float gate its
+        # IndexError
+        train = [(gate, PulseSpec(0.1, 0.0))]
+        with pytest.raises(ValueError, match="integers"):
+            analytic_gate_probabilities(det, train, env, window)
+        with pytest.raises(ValueError, match="integers"):
+            simulate_pulse_train(det, train, env, trials=10, seed=1,
+                                 window=window)
+
+    def test_numpy_integers_accepted(self, det, env):
+        expected = simulate_pulse_train(det, pulses(), env, trials=1000,
+                                        seed=1, window=8)
+        got = simulate_pulse_train(det, pulses(), env, trials=np.int64(1000),
+                                   seed=np.uint64(1), window=np.int32(8))
+        assert np.array_equal(got, expected)
+
 
 class TestDeadTime:
     @pytest.mark.parametrize("dead_time", [0.0, 2500.0])

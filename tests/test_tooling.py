@@ -1,4 +1,5 @@
-"""The demos and the benchmark tracer against the current package."""
+"""The demos and the benchmark tracer against the current package, and the
+package's import contract."""
 
 import ast
 import importlib
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -68,8 +70,7 @@ def _unused_imports(path: Path) -> set[str]:
     return imported - read - {"annotations"}
 
 
-MODULES = sorted(p for p in Path(SRC, "aftergate").glob("*.py")
-                 if p.stem != "__init__")
+MODULES = sorted(Path(SRC, "aftergate").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -97,3 +98,72 @@ def test_traced_chunks_cover_every_trial(tmp_path, monkeypatch):
     chunks = [counts["trials"] for name, *_, counts in recorder.spans
               if name == "montecarlo.run_chunk"]
     assert chunks == [trials]
+
+
+# today's public names: the 36 exports and their six submodules
+PUBLIC = [
+    "ArrheniusFit", "ConfigError", "DetectorParams", "Environment",
+    "GateTiming", "K_BOLTZMANN_EV", "LifetimeExtractionError",
+    "NoSignalError", "PulseSpec", "QBER_THRESHOLD", "RunConfig",
+    "TrapSpecies", "analytic_gate_probabilities", "arrhenius_fit", "attack",
+    "attack_histogram", "attack_qber_at_frequency", "binary_entropy",
+    "build_histogram", "characterization", "click_probability", "config",
+    "contour_flux_delay", "default_config_path", "detector",
+    "extract_lifetime", "feasibility", "feasibility_band", "gate2_vs_delay",
+    "key_rate", "load_config", "mean_delayed", "montecarlo", "noise_qber",
+    "partial_attack_rates", "qber_target", "qber_with_dd",
+    "rescale_detector", "simulate_pulse_train", "sweep_delay",
+    "trap_lifetime", "trap_loading"]
+
+
+class TestImportContract:
+    def _child(self, code):
+        path = os.pathsep.join(filter(None, [SRC,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_config_path_loads_only_config_and_detector(self):
+        # the benchmark's setup probe: nothing else gets compiled or run
+        loaded = self._child(
+            "import sys, aftergate\n"
+            "aftergate.load_config(None)\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.split('.')[0] == 'aftergate'))")
+        assert loaded.split() == ["aftergate", "aftergate.config",
+                                  "aftergate.detector"]
+
+    def test_all_is_pinned_and_resolves(self):
+        assert sorted(aftergate.__all__) == PUBLIC
+        assert all(hasattr(aftergate, name) for name in aftergate.__all__)
+
+    def test_submodule_names_are_the_submodules(self):
+        for name in ("attack", "characterization", "config", "detector",
+                     "feasibility", "montecarlo"):
+            assert getattr(aftergate, name) is importlib.import_module(
+                f"aftergate.{name}")
+        assert aftergate.sweep_delay is aftergate.attack.sweep_delay
+
+    def test_star_import_binds_every_name(self):
+        # in a child, so the package starts cold
+        assert self._child(
+            "from aftergate import *\n"
+            "import aftergate\n"
+            "print(all(globals()[n] is getattr(aftergate, n)\n"
+            "          for n in aftergate.__all__))") == "True\n"
+
+    def test_dir_lists_all(self):
+        assert set(PUBLIC) | {"__all__", "__version__"} <= set(dir(aftergate))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            aftergate.no_such_name
+
+    def test_default_config_path_is_the_package_resource(self):
+        path = aftergate.default_config_path()
+        assert path == Path(resources.files("aftergate").joinpath(
+            "data/default.ini"))
+        assert path.is_file()
