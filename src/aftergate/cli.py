@@ -192,11 +192,11 @@ def cmd_contour(cfg: RunConfig, args, out: Path) -> None:
     svg.heatmap(out / "contour.svg", delays, fluxes, matrix,
                 "target-gate QBER vs flux and delay", "delay (ps)",
                 "flux (photons/pulse)", iso=threshold)
-    region = sub_threshold_region(matrix, threshold)
-    if region.any():
-        i_min = int(np.argmax(region.any(axis=1)))
+    rows = sub_threshold_region(matrix, threshold).any(axis=1)
+    if rows.any():
+        # the smallest such flux, whichever way the grid runs
         print(f"QBER below {threshold} first reached at flux "
-              f"{fluxes[i_min]:.1f}")
+              f"{fluxes[rows].min():.1f}")
     else:
         print(f"no cell below QBER {threshold}")
 
@@ -220,8 +220,9 @@ def cmd_partial_attack(cfg: RunConfig, args, out: Path) -> None:
         "rate_baseline": key_rate(q_baseline),
         "rate_attack": key_rate(q_attack),
     })
+    i = len(rows) // 2
     print(f"q_attack={q_attack:.4f} q_baseline={q_baseline:.4f}; "
-          f"combined rate at f=0.5: {rows.combined_rate[len(rows) // 2]:.4f}")
+          f"combined rate at f={fractions[i]:g}: {rows.combined_rate[i]:.4f}")
 
 
 def cmd_feasibility(cfg: RunConfig, args, out: Path) -> None:

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import configparser
+import csv
 import json
 import math
 import os
@@ -248,6 +249,34 @@ class TestOtherCommands:
         rows = (tmp_path / "partial_attack.csv").read_text().splitlines()
         assert rows[0] == "fraction,combined_rate,full_attack_rate"
         assert len(rows) == 102
+
+    def test_contour_reports_smallest_flux_either_way(self, tmp_path,
+                                                      capsys):
+        # the same 2...1000 grid, ascending and descending
+        lines = []
+        for lo, hi in ((2, 1000), (1000, 2)):
+            assert main(["--out", str(tmp_path / f"{lo}"),
+                         "--set", f"contour.flux_min={lo}",
+                         "--set", f"contour.flux_max={hi}", "contour"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0].startswith("QBER below 0.11 first reached at flux ")
+        assert lines[1] == lines[0]
+
+    @pytest.mark.parametrize("points, fraction", [
+        (101, "0.5"), (4, "0.666667"), (2, "1")])
+    def test_partial_attack_prints_the_fraction_it_reads(self, tmp_path,
+                                                         capsys, points,
+                                                         fraction):
+        assert run(tmp_path, "--set",
+                   f"partial_attack.fraction_points={points}",
+                   "partial-attack") == 0
+        printed = capsys.readouterr().out.split("combined rate at f=")[1]
+        f, rate = printed.strip().split(": ")
+        assert f == fraction
+        rows = csv.DictReader((tmp_path / "partial_attack.csv").read_text(
+            encoding="utf-8").splitlines())
+        row, = [r for r in rows if format(float(r["fraction"]), "g") == f]
+        assert rate == f"{float(row['combined_rate']):.4f}"
 
     def test_feasibility(self, tmp_path):
         assert run(tmp_path, "feasibility") == 0

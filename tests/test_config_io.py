@@ -5,6 +5,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -352,6 +353,80 @@ class TestColumnWriter:
         with pytest.raises(ValueError, match="1-D"):
             io._write_columns(tmp_path / "m.csv", ["a", "b"],
                               [np.zeros((2, 2)), np.zeros(2)])
+
+
+def oracle_contour_columns(path, fluxes, delays, qber_matrix) -> None:
+    """write_contour_csv before it wrote in row blocks, kept verbatim."""
+    fluxes = np.asarray(fluxes, dtype=np.float64)
+    delays = np.asarray(delays, dtype=np.float64)
+    io._write_columns(path, ["flux", "delay_ps", "q_target"],
+                      [np.repeat(fluxes, delays.size),
+                       np.tile(delays, fluxes.size),
+                       np.asarray(qber_matrix, dtype=np.float64).ravel()])
+
+
+@st.composite
+def _contour_table(draw):
+    """(block cells, fluxes, delays, matrix). Shapes put block edges
+    inside and between rows; cells mix NaN, -0.0, inf and a few values
+    that repeat across blocks with fresh ones."""
+    block = draw(st.integers(1, 40))
+    fluxes = draw(st.lists(st.floats(), min_size=0, max_size=20))
+    delays = draw(st.lists(st.floats(), min_size=0, max_size=2 * block + 1))
+    pool = draw(st.lists(st.sampled_from(_SPECIAL), min_size=1, max_size=4))
+    cells = draw(st.lists(st.one_of(st.sampled_from(pool), st.floats()),
+                          min_size=len(fluxes) * len(delays),
+                          max_size=len(fluxes) * len(delays)))
+    return (block, np.array(fluxes, dtype=np.float64),
+            np.array(delays, dtype=np.float64),
+            np.array(cells, dtype=np.float64).reshape(len(fluxes),
+                                                      len(delays)))
+
+
+class TestContourWriter:
+    @given(_contour_table())
+    @settings(max_examples=200, deadline=None)
+    def test_row_blocks_match_column_writer(self, tmp_path_factory, table):
+        block, fluxes, delays, matrix = table
+        tmp = tmp_path_factory.mktemp("contour")
+        with mock.patch.object(io, "_CSV_BLOCK_CELLS", block):
+            io.write_contour_csv(tmp / "new.csv", fluxes, delays, matrix)
+        oracle_contour_columns(tmp / "old.csv", fluxes, delays, matrix)
+        oracle_contour_csv(tmp / "rows.csv", fluxes, delays, matrix)
+        new = (tmp / "new.csv").read_bytes()
+        assert new == (tmp / "old.csv").read_bytes()
+        assert new == (tmp / "rows.csv").read_bytes()
+
+    def test_shipped_block_size_matches_column_writer(self, tmp_path, det):
+        # 16 rows a block on 250 x 1001, 250 not a multiple; NaN cells
+        # where a dark-free detector sees the inter-gate gap
+        fluxes = np.linspace(2.0, 1000.0, 250)
+        delays = np.linspace(0.0, 1000.0, 1001, endpoint=False)
+        matrix = contour_flux_delay(replace(det, dark_count_prob=0.0),
+                                    fluxes, delays)
+        matrix[::7, ::5] = -0.0
+        matrix[3, :] = np.inf
+        assert np.isnan(matrix).any()
+        io.write_contour_csv(tmp_path / "new.csv", fluxes, delays, matrix)
+        oracle_contour_columns(tmp_path / "old.csv", fluxes, delays, matrix)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "old.csv").read_bytes()
+
+    def test_mismatched_matrix_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError):
+            io.write_contour_csv(tmp_path / "sub" / "c.csv", [1.0, 2.0],
+                                 [0.0, 1.0, 2.0], np.zeros((3, 2)).T[:1])
+        assert not (tmp_path / "sub").exists()
+
+
+@given(st.one_of(st.sampled_from(_SPECIAL), st.floats(),
+                 st.integers(-2**63, 2**63 - 1).map(
+                     lambda b: float(np.int64(b).view(np.float64)))))
+@settings(max_examples=1000)
+def test_percent_format_matches_format(x):
+    # _cells formats floats with one % call; its text must be format()'s,
+    # for every bit pattern: NaNs of either sign, +-inf, -0.0, subnormals
+    assert "%.12g" % x == format(x, ".12g")
 
 
 @pytest.fixture(scope="module")
