@@ -207,7 +207,10 @@ def binary_entropy(q) -> float:
 
 
 def key_rate(qber: float) -> float:
-    """Asymptotic BB84 key fraction, clamped at zero."""
+    """Asymptotic BB84 key fraction 1 - 2 h(qber) for a QBER in [0, 0.5],
+    clamped at zero."""
+    if not 0.0 <= qber <= 0.5:
+        raise ValueError("QBER must lie in [0, 0.5]")
     return max(0.0, 1.0 - 2.0 * float(binary_entropy(qber)))
 
 
@@ -221,14 +224,11 @@ def partial_attack_rates(q_attack: float, q_baseline: float,
     the QBER this is never below the rate at the blended QBER, which is why
     attacking every gate is Eve's best strategy.
     """
-    for q in (q_attack, q_baseline):
-        if not (0.0 <= q <= 0.5):
-            raise ValueError("QBER inputs must lie in [0, 0.5]")
+    r_attack = key_rate(q_attack)
+    r_base = key_rate(q_baseline)
     f = _grid(fractions, "fraction")
     if not np.all((f >= 0.0) & (f <= 1.0)):
         raise ValueError("attacked fractions must lie in [0, 1]")
-    r_attack = key_rate(q_attack)
-    r_base = key_rate(q_baseline)
     return np.rec.fromarrays(
         [f, f * r_attack + (1.0 - f) * r_base, np.full(f.shape, r_attack)],
         names="fraction,combined_rate,full_attack_rate")

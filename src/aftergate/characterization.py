@@ -1,9 +1,9 @@
 """Turning per-gate histograms into trap physics.
 
-Covers the dead-time filter on click matrices and raw click records,
-single-exponential lifetime extraction from two gates of a decay histogram,
-and the Arrhenius regression that converts lifetimes at several temperatures
-into an activation energy.
+Covers the dead-time filter on raw click records, single-exponential
+lifetime extraction from two gates of a decay histogram, and the Arrhenius
+regression that converts lifetimes at several temperatures into an
+activation energy.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .detector import K_BOLTZMANN_EV
+from .montecarlo import _next_start
 
 
 class LifetimeExtractionError(RuntimeError):
@@ -35,36 +36,20 @@ class ArrheniusFit:
             raise ValueError("lifetime_prefactor must be > 0")
 
 
-def dead_time_counts(clicked: np.ndarray, dead_time: float,
-                     gate_period: float) -> np.ndarray:
-    """Per-gate counts of a (trial, gate) boolean click matrix after a
-    non-paralyzable dead time.
+def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
+                    dead_time: float, gate_period: float) -> np.ndarray:
+    """Per-gate counts of (trial, gate_index) click records behind a
+    non-paralyzable dead time (ps).
 
-    Within each trial, a click closer than dead_time (ps) after the last
-    accepted click is dropped; accepted clicks reset the dead-time anchor.
-    Trials (rows) never suppress each other. The loop runs over gates and is
-    vectorized over trials.
+    A trial's click at gate g is kept only if g is at or after
+    next_start[a], the engine's first gate that the dead time lets through
+    after a, the trial's last kept gate. Trials never suppress each other,
+    and a gate clicks at most once per trial: repeated records count once.
     """
     if not dead_time >= 0:
         raise ValueError("dead_time must be >= 0")
-    columns = np.ascontiguousarray(np.asarray(clicked, dtype=bool).T)
-    last = np.full(columns.shape[1], -math.inf)
-    counts = np.zeros(columns.shape[0], dtype=np.int64)
-    for gate, column in enumerate(columns):
-        t = gate * gate_period
-        accept = column & (t - last >= dead_time)
-        counts[gate] = np.count_nonzero(accept)
-        np.copyto(last, t, where=accept)
-    return counts
-
-
-def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
-                    dead_time: float, gate_period: float) -> np.ndarray:
-    """Per-gate counts of (trial, gate_index) click records, discarding
-    clicks inside the dead time (see dead_time_counts).
-
-    A gate clicks at most once per trial: repeated records count once.
-    """
+    if not 0 < gate_period < math.inf:
+        raise ValueError("gate_period must be finite and > 0")
     recs = np.asarray(list(click_records) if not isinstance(click_records, np.ndarray)
                       else click_records, dtype=np.int64)
     if recs.size and (recs.ndim != 2 or recs.shape[1] != 2):
@@ -73,9 +58,16 @@ def build_histogram(click_records: Iterable[tuple[int, int]], window: int,
     if np.any(recs[:, 1] < 0) or np.any(recs[:, 1] >= window):
         raise ValueError("gate index outside window")
     rows, row_of = np.unique(recs[:, 0], return_inverse=True)
-    clicked = np.zeros((rows.size, window), dtype=bool)
-    clicked[row_of, recs[:, 1]] = True
-    return dead_time_counts(clicked, dead_time, gate_period)
+    clicked = np.zeros((window, rows.size), dtype=bool)
+    clicked[recs[:, 1], row_of] = True
+    next_start = _next_start(window, dead_time, gate_period)
+    ready = np.zeros(rows.size, dtype=np.int64)
+    counts = np.zeros(window, dtype=np.int64)
+    for gate, column in enumerate(clicked):
+        keep = column & (ready <= gate)
+        counts[gate] = np.count_nonzero(keep)
+        ready[keep] = next_start[gate]
+    return counts
 
 
 def estimate_background(counts: np.ndarray) -> float:

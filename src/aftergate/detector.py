@@ -292,25 +292,18 @@ def _series(term, ratio, k, lam):
     """term * (1 + r(1) + r(1) r(2) + ...) to 1e-17 relative, elementwise
     over 1-D arrays, where r(j) = ratio(j, k, lam).
 
-    Once term <= 1e-17 * total it is below half an ulp of total and later
-    terms are smaller (|r| < 1), so further terms round away and change
-    no bit. Every fourth term the converged elements therefore leave the
-    working arrays, and each element ends with the bits it would have had
-    had every element run until the last one converged."""
-    out = np.empty_like(term)
-    where = np.arange(term.size)
+    The loop runs until every element converges. Once term <= 1e-17 * total
+    it is below half an ulp of total and later terms are smaller (|r| < 1),
+    so the extra terms an element takes while others converge round away:
+    each element keeps the bits it has when evaluated alone, however the
+    elements are batched."""
     total = term
     j = 1
-    while (live := term > 1e-17 * total).any():
-        if j % 4 == 0 and not live.all():
-            out[where[~live]] = total[~live]
-            where, term, total, k, lam = (
-                a[live] for a in (where, term, total, k, lam))
+    while np.any(term > 1e-17 * total):
         term = term * ratio(j, k, lam)
         total = total + term
         j += 1
-    out[where] = total
-    return out
+    return total
 
 
 def click_probability_array(det: DetectorParams, mean_flux, delays) -> np.ndarray:

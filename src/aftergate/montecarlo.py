@@ -62,8 +62,8 @@ def analytic_gate_probabilities(det: DetectorParams, pulses, env: Environment,
 def _next_start(window: int, dead_time: float,
                 gate_period: float) -> np.ndarray:
     """next_start[j] is the first gate i > j with i*T - j*T >= dead_time, as
-    dead_time_counts compares them; gates past the window read as
-    `window`."""
+    the click-matrix reference filter in tests/dead_time_reference.py
+    compares them; gates past the window read as `window`."""
     gate = np.arange(window)
     steps = int(min(max(np.ceil(dead_time / gate_period), 1), window))
     next_start = np.minimum(gate + steps, window)

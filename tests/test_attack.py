@@ -267,11 +267,12 @@ class TestContour:
         assert matrix[i, j] == pytest.approx(0.25, abs=1e-3)
 
     def test_consistent_with_sweep(self, det, env, grids, matrix):
+        # the contour's per-power kernel and the sweep's stacked kernel
+        # agree bit for bit on every row
         fluxes, delays = grids
-        i = np.where(fluxes == 80.0)[0][0]
-        pts = sweep_delay(det, 80.0, delays, env)
-        for j in (100, 290, 306, 320):
-            assert matrix[i, j] == pytest.approx(pts[j].q_target, abs=1e-12)
+        for flux, row in zip(fluxes, matrix):
+            q_target = sweep_delay(det, flux, delays, env).q_target
+            assert row.tobytes() == q_target.tobytes(), flux
 
     def test_grid_equals_row_by_row_evaluation(self, det, grids, matrix):
         fluxes, delays = grids
@@ -331,6 +332,13 @@ class TestBinaryEntropy:
             binary_entropy([0.1, math.nan])
         with pytest.raises(ValueError):
             key_rate(math.nan)
+
+    def test_key_rate_domain_enforced(self):
+        # an always-wrong channel must not read as a full key
+        assert key_rate(0.5) == 0.0
+        for q in (0.9, 1.0, -0.1):
+            with pytest.raises(ValueError, match="QBER"):
+                key_rate(q)
 
 
 class TestPartialAttack:

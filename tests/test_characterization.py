@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from aftergate import (Environment, LifetimeExtractionError, PulseSpec,
                        TrapSpecies, arrhenius_fit, build_histogram,
                        extract_lifetime, trap_lifetime)
-from aftergate.characterization import dead_time_counts, estimate_background
+from aftergate.characterization import estimate_background
 from aftergate.detector import DetectorParams, GateTiming
 from aftergate.montecarlo import analytic_gate_probabilities
+from dead_time_reference import dead_time_counts
 
 KB = 8.617e-5
 
@@ -125,7 +126,17 @@ class TestBuildHistogram:
                                  dead_time=0.0, gate_period=1000.0)
         assert list(counts) == [0, 2, 0]
 
+    @pytest.mark.parametrize("period", [0.0, -1000.0, math.nan, math.inf])
+    def test_bad_gate_period_rejected(self, period):
+        # the dead-time rule divides by the period
+        with pytest.raises(ValueError, match="gate_period"):
+            build_histogram([(0, 0), (0, 1)], window=2, dead_time=1500.0,
+                            gate_period=period)
+
     def test_nan_dead_time_rejected(self):
+        with pytest.raises(ValueError):
+            build_histogram([(0, 0), (0, 2)], window=3, dead_time=math.nan,
+                            gate_period=1000.0)
         with pytest.raises(ValueError):
             dead_time_counts(np.ones((2, 3), dtype=bool), math.nan, 1000.0)
 

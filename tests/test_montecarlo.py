@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from aftergate import PulseSpec, montecarlo, simulate_pulse_train
-from aftergate.characterization import dead_time_counts
 from aftergate.detector import GateTiming
 from aftergate.montecarlo import analytic_gate_probabilities
+from dead_time_reference import dead_time_counts
 
 
 def pulses(mu=0.1, delay=0.0):
@@ -17,7 +17,7 @@ def pulses(mu=0.1, delay=0.0):
 
 def next_eligible(gate, window, dead_time, period):
     """First gate after an accepted click at `gate` that the dead time lets
-    through, compared as characterization.dead_time_counts does."""
+    through, compared as the reference filter dead_time_counts does."""
     nxt = gate + 1
     while nxt < window and nxt * period - gate * period < dead_time:
         nxt += 1
