@@ -156,34 +156,18 @@ def gate2_vs_delay(det: DetectorParams, flux: float, delays,
     return np.rec.fromarrays([d, p], names="delay,probability")
 
 
-# Cells per block of flux rows in contour_flux_delay (at least one row):
-# each float64 temporary then takes 256 KB. Measured against a 2 MB L2 per
-# core: on a 250x1001 grid in a warm process, whole-grid passes took a
-# median 56 ms and 32-row blocks 33 ms, bit for bit the same. In a fresh
-# process malloc hands each block's temporaries back to the system and the
-# next block faults them in again, which cancels most of that gain.
-_CONTOUR_BLOCK_CELLS = 2 ** 15
-
-
 def contour_flux_delay(det: DetectorParams, fluxes, delays) -> np.ndarray:
     """Target-gate QBER over a (flux, delay) grid; half power is flux/2.
 
     Returns a matrix with shape (len(fluxes), len(delays)); no-signal cells
-    are NaN. The grid is evaluated in blocks of flux rows, so the kernel's
-    temporaries stay the same size whatever the grid's.
+    are NaN. The whole grid is evaluated in one pass at each power.
     """
     f = _grid(fluxes, "flux")
     if np.any(f <= 0):
         raise ValueError("flux grid must be positive")
     d = _delay_grid(det, delays)
-    out = np.empty((f.size, d.size))
-    rows = max(1, _CONTOUR_BLOCK_CELLS // max(d.size, 1))
-    for i in range(0, f.size, rows):
-        block = f[i:i + rows, None]
-        out[i:i + rows] = _qber_array(
-            click_probability_array(det, block, d),
-            click_probability_array(det, block / 2.0, d))
-    return out
+    return _qber_array(click_probability_array(det, f[:, None], d),
+                       click_probability_array(det, f[:, None] / 2.0, d))
 
 
 def sub_threshold_region(qber_matrix: np.ndarray,
@@ -200,9 +184,8 @@ def binary_entropy(q) -> float:
         raise ValueError("binary_entropy domain is [0, 1]")
     log_q = np.log2(arr, out=np.zeros_like(arr), where=arr > 0)
     log_p = np.log2(1 - arr, out=np.zeros_like(arr), where=arr < 1)
-    h = -np.where(arr > 0, arr * log_q, 0.0) \
-        - np.where(arr < 1, (1 - arr) * log_p, 0.0)
-    out = np.where((arr == 0) | (arr == 1), 0.0, h)
+    # the logs are 0 where their argument is, so 0 log 0 gives +0.0
+    out = 0.0 - arr * log_q - (1 - arr) * log_p
     return float(out) if out.ndim == 0 else out
 
 

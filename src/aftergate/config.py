@@ -21,47 +21,24 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _float(raw: str) -> float:
-    x = float(raw)
-    if not math.isfinite(x):
-        raise ValueError("must be finite")
-    return x
+def _checked(cast, ok, why: str):
+    """Caster that casts, then raises ValueError(why) unless ok(value)."""
+    def caster(raw: str):
+        x = cast(raw)
+        if not ok(x):
+            raise ValueError(why)
+        return x
+    return caster
 
 
-def _positive(raw: str) -> float:
-    x = _float(raw)
-    if x <= 0:
-        raise ValueError("must be > 0")
-    return x
-
-
-def _nonnegative(raw: str) -> float:
-    x = _float(raw)
-    if x < 0:
-        raise ValueError("must be >= 0")
-    return x
-
-
-def _count(raw: str) -> int:
-    n = int(raw)
-    if n < 1:
-        raise ValueError("must be >= 1")
-    return n
-
-
-def _seed(raw: str) -> int:
-    n = int(raw)
-    if not 0 <= n < 1 << 64:
-        raise ValueError("must lie in [0, 2**64)")
-    return n
-
-
-def _trials(raw: str) -> int:
-    # the binomial draw takes an int64 trial count
-    n = int(raw)
-    if not 1 <= n < 1 << 63:
-        raise ValueError("must lie in [1, 2**63)")
-    return n
+_float = _checked(float, math.isfinite, "must be finite")
+_positive = _checked(_float, lambda x: x > 0, "must be > 0")
+_nonnegative = _checked(_float, lambda x: x >= 0, "must be >= 0")
+_qber = _checked(_float, lambda x: 0 < x < 0.5, "must lie in (0, 0.5)")
+_count = _checked(int, lambda n: n >= 1, "must be >= 1")
+_seed = _checked(int, lambda n: 0 <= n < 1 << 64, "must lie in [0, 2**64)")
+# the binomial draw takes an int64 trial count
+_trials = _checked(int, lambda n: 1 <= n < 1 << 63, "must lie in [1, 2**63)")
 
 
 def _temperatures(raw: str) -> list[float]:
@@ -119,7 +96,7 @@ _SCHEMA = {
         "freq_max": _float,
         "freq_points": _count,
         "temperatures": _temperatures,
-        "qber_threshold": _float,
+        "qber_threshold": _qber,
     },
     "partial_attack": {"fraction_points": _count},
     "run": {

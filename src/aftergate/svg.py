@@ -79,7 +79,24 @@ def _tick_labels(parts, xticks, yticks):
                      f'{ty:.3g}</text>')
 
 
+def _log_ticks(lo, hi) -> list[float]:
+    """Tick values for a log axis over [lo, hi]: its decades, or five
+    log-spaced values (one if lo == hi) when fewer than two decades fall
+    inside."""
+    k = range(math.ceil(math.log10(lo)), math.floor(math.log10(hi)) + 1)
+    return ([10.0 ** e for e in k] if len(k) > 1
+            else np.geomspace(lo, hi, 5 if hi > lo else 1).tolist())
+
+
+def _legend(parts, k, name, color):
+    """The k-th series name, top right, in the series' colour."""
+    parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 14 + 14 * k}" '
+                 f'text-anchor="end" font-family="sans-serif" '
+                 f'font-size="11" fill="{color}">{name}</text>')
+
+
 def bar_chart(path, labels, values, title, xlab, ylab) -> None:
+    """One bar per label on a log count axis; a zero draws no bar."""
     values = np.asarray(values, dtype=float)
     positive = values[values > 0]
     floor = float(positive.min()) * 0.5 if positive.size else 1e-6
@@ -98,6 +115,7 @@ def bar_chart(path, labels, values, title, xlab, ylab) -> None:
         parts.append(f'<text x="{sx(i):.1f}" y="{_H - _MB + 14}" '
                      f'text-anchor="middle" font-family="sans-serif" '
                      f'font-size="10">{labels[i]}</text>')
+    _tick_labels(parts, [], [(sy(t), t) for t in _log_ticks(floor, top)])
     _write(path, parts, xlab, ylab)
 
 
@@ -122,9 +140,7 @@ def line_chart(path, x, series: dict, title, xlab, ylab, hline=None) -> None:
         color = _COLORS[k % len(_COLORS)]
         parts.append(_polyline([(sx(xv), sy(yv)) for xv, yv in zip(x, ys)
                                 if np.isfinite(yv)], color))
-        parts.append(f'<text x="{_W - _MR - 6}" y="{_MT + 14 + 14 * k}" '
-                     f'text-anchor="end" font-family="sans-serif" '
-                     f'font-size="11" fill="{color}">{name}</text>')
+        _legend(parts, k, name, color)
     _tick_labels(parts,
                  [(sx(t), t) for t in np.linspace(x.min(), x.max(), 5)],
                  [(sy(t), t) for t in np.linspace(lo, hi, 5)])
@@ -190,7 +206,8 @@ def heatmap(path, xs, ys, matrix, title, xlab, ylab, iso=None) -> None:
 
 def band_chart(path, freqs, q_noise, q_attack, classes, title,
                threshold) -> None:
-    """Feasibility curves with shaded Noisy/Vulnerable columns."""
+    """Feasibility curves with shaded Noisy/Vulnerable columns, a legend
+    and ticks at the decades of the log frequency axis."""
     freqs = np.asarray(freqs, dtype=float)
     sx = _scale(float(freqs.min()), float(freqs.max()), _ML, _W - _MR, log=True)
     hi = max(float(np.max(q_noise)), float(np.max(q_attack)), threshold) * 1.1
@@ -208,10 +225,14 @@ def band_chart(path, freqs, q_noise, q_attack, classes, title,
     py = sy(threshold)
     parts.append(f'<line x1="{_ML}" y1="{py:.1f}" x2="{_W - _MR}" '
                  f'y2="{py:.1f}" stroke="#888" stroke-dasharray="6,4"/>')
-    for name, ys, color in (("self-noise QBER", q_noise, _COLORS[0]),
-                            ("attack QBER", q_attack, _COLORS[1])):
+    for k, (name, ys) in enumerate((("self-noise QBER", q_noise),
+                                    ("attack QBER", q_attack))):
         parts.append(_polyline([(sx(f), sy(min(y, hi)))
-                                for f, y in zip(freqs, ys)], color))
+                                for f, y in zip(freqs, ys)], _COLORS[k]))
+        _legend(parts, k, name, _COLORS[k])
+    _tick_labels(parts,
+                 [(sx(t), t) for t in _log_ticks(freqs.min(), freqs.max())],
+                 [(sy(t), t) for t in np.linspace(0.0, hi, 5)])
     _write(path, parts, "gating frequency (Hz)", "QBER")
 
 

@@ -305,11 +305,34 @@ class TestContour:
             contour_flux_delay(det, [0.0, 10.0], [0.0, 50.0])
 
 
+def entropy_with_endpoint_rule(q):
+    """binary_entropy as it was when it wrote 0 log 0 = 0 three times."""
+    arr = np.asarray(q, dtype=float)
+    log_q = np.log2(arr, out=np.zeros_like(arr), where=arr > 0)
+    log_p = np.log2(1 - arr, out=np.zeros_like(arr), where=arr < 1)
+    h = -np.where(arr > 0, arr * log_q, 0.0) \
+        - np.where(arr < 1, (1 - arr) * log_p, 0.0)
+    return np.where((arr == 0) | (arr == 1), 0.0, h)
+
+
 class TestBinaryEntropy:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == pytest.approx(1.0, rel=1e-15)
+        # +0.0, not -0.0, for a scalar and an array alike
+        for q in (0.0, 1.0, [0.0, 1.0]):
+            assert not np.any(np.signbit(binary_entropy(q)))
+
+    def test_bits_match_endpoint_rule(self):
+        edges = [0.0, 1.0, 0.5, 1e-300, 5e-324, 1 - 1e-16]
+        q = np.concatenate([edges, np.random.default_rng(24).random(10 ** 5)])
+        got = binary_entropy(q)
+        assert np.array_equal(got.view(np.int64),
+                              entropy_with_endpoint_rule(q).view(np.int64))
+        for e in edges:
+            assert (np.float64(binary_entropy(e)).view(np.int64)
+                    == entropy_with_endpoint_rule(e).view(np.int64))
 
     def test_worked_value(self):
         assert binary_entropy(0.11) == pytest.approx(0.499915958164528,

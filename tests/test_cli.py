@@ -395,6 +395,15 @@ class TestErrorPaths:
          ["--set", "histogram.dead_time=-1", "histogram"]),
         # the binomial draw takes an int64 count
         ("run.trials", ["--trials", str(2 ** 63), "histogram"]),
+        # a QBER threshold lies strictly between 0 and 0.5
+        ("feasibility.qber_threshold",
+         ["--set", "feasibility.qber_threshold=0", "contour"]),
+        ("feasibility.qber_threshold",
+         ["--set", "feasibility.qber_threshold=-1", "feasibility"]),
+        ("feasibility.qber_threshold",
+         ["--set", "feasibility.qber_threshold=0.5", "partial-attack"]),
+        ("feasibility.qber_threshold",
+         ["--set", "feasibility.qber_threshold=2", "sweep"]),
     ])
     def test_count_and_seed_out_of_range_is_config_error(self, tmp_path,
                                                          capsys, key, argv):

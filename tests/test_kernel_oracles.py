@@ -1,21 +1,21 @@
 """Bit-identity of the analytic kernels against the versions they replaced.
 
-The attack sweep once ran the kernel stack once per power, the Poisson
-tail once called lgamma on every cell of the broadcast grid, and the flux x
-delay contour once made two whole-grid passes. All three are kept verbatim
-below as oracles: the current kernels must reproduce them to the last bit,
-compared as int64 bit patterns.
+The attack sweep once ran the kernel stack once per power, and the Poisson
+tail once called lgamma on every cell of the broadcast grid. Both are kept
+verbatim below as oracles, as is the flux x delay contour's pair of
+whole-grid passes, which any blocked or fused contour must still match. The
+current kernels must reproduce them to the last bit, compared as int64 bit
+patterns.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aftergate import Environment, attack
+from aftergate import Environment
 from aftergate.attack import (_delay_grid, _grid, _mean_delayed_array,
                               _qber_array, _qber_with_dd_array,
                               _sweep_arrays, contour_flux_delay)
@@ -139,9 +139,7 @@ class TestSweepArrays:
 
 @st.composite
 def _contour_grid(draw, det):
-    """(block cells, fluxes, delays): 1-300 fluxes and 1 to 2 * block + 1
-    delays, so blocks hold one row or many and the last one is short."""
-    block = draw(st.integers(1, 64))
+    """(fluxes, delays): 1-300 fluxes and 1-129 delays, edge and random."""
     fluxes = draw(st.lists(st.one_of(st.sampled_from([0.1, 1.0, 40.0, 80.0,
                                                       1000.0]),
                                      st.floats(1e-3, 2000.0)),
@@ -150,26 +148,24 @@ def _contour_grid(draw, det):
     delays = draw(st.lists(st.one_of(st.sampled_from(_edges(det)),
                                      st.floats(0.0, period,
                                                exclude_max=True)),
-                           min_size=1, max_size=2 * block + 1))
-    return block, np.array(fluxes), np.array(delays)
+                           min_size=1, max_size=129))
+    return np.array(fluxes), np.array(delays)
 
 
 class TestContour:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_row_blocks_match_whole_grid(self, det, data):
-        block, fluxes, delays = data.draw(_contour_grid(det))
-        with mock.patch.object(attack, "_CONTOUR_BLOCK_CELLS", block):
-            got = contour_flux_delay(det, fluxes, delays)
-        assert_same_bits(got, oracle_contour(det, fluxes, delays))
+    def test_random_grids_match_oracle(self, det, data):
+        fluxes, delays = data.draw(_contour_grid(det))
+        assert_same_bits(contour_flux_delay(det, fluxes, delays),
+                         oracle_contour(det, fluxes, delays))
 
     @pytest.mark.parametrize("flux_points, delay_points", [
-        (250, 1001),          # 32 rows a block; 250 is not a multiple
-        (3, 2 ** 15 + 1),     # a row is longer than a block
+        (250, 1001),
+        (3, 2 ** 15 + 1),
         (1, 1),
     ])
-    def test_shipped_block_size_matches_whole_grid(self, det, flux_points,
-                                                   delay_points):
+    def test_fixed_grids_match_oracle(self, det, flux_points, delay_points):
         fluxes = np.linspace(2.0, 1000.0, flux_points)
         delays = np.linspace(0.0, 200.0, delay_points)
         assert_same_bits(contour_flux_delay(det, fluxes, delays),

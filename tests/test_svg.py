@@ -151,9 +151,67 @@ def test_bar_chart_labels_every_bar_slot(tmp_path):
     svg.bar_chart(tmp_path / "b.svg", ["1", "2", "3"], [5, 0, 2], "t", "x",
                   "y")
     text = (tmp_path / "b.svg").read_text()
-    labels = re.findall(r'font-size="10">([^<]*)</text>', text)
+    # the count axis's tick labels are right-aligned ("end")
+    labels = re.findall(r'text-anchor="middle" font-family="sans-serif" '
+                        r'font-size="10">([^<]*)</text>', text)
     assert labels == ["1", "2", "3"]
     assert len(re.findall(r'<rect x=', text)) == 2
+
+
+def _ticks(path):
+    """(x labels, y labels) of an SVG, each as [(pixel, text)]."""
+    ticks = _TICK.findall(path.read_text())
+    return ([(float(x), t) for x, _, anchor, t in ticks if anchor == "middle"],
+            [(float(y) - 3, t) for _, y, anchor, t in ticks if anchor == "end"])
+
+
+def test_bar_chart_count_axis_has_decade_ticks(tmp_path):
+    # counts 5..2000: the axis runs 2.5..3000, so three decades fall inside
+    svg.bar_chart(tmp_path / "b.svg", ["1", "2", "3"], [5, 0, 2000], "t",
+                  "x", "y")
+    _, y_labels = _ticks(tmp_path / "b.svg")
+    assert [t for _, t in y_labels] == ["10", "100", "1e+03"]
+    sy = svg._scale(2.5, 3000.0, _H - _MB, _MT, log=True)
+    for (py, _), value in zip(y_labels, (10.0, 100.0, 1000.0)):
+        assert py == pytest.approx(sy(value), abs=0.06)
+    # equal steps per decade
+    steps = np.diff([py for py, _ in y_labels])
+    assert steps[0] == pytest.approx(steps[1], abs=0.1) and steps[0] < 0
+
+
+@pytest.mark.parametrize("lo, hi, expected", [
+    (1e7, 5e9, [1e7, 1e8, 1e9]),
+    (0.5, 3000.0, [1.0, 10.0, 100.0, 1000.0]),
+    # fewer than two decades: five log-spaced values, or one for a point
+    (2.0, 32.0, [2.0, 4.0, 8.0, 16.0, 32.0]),
+    (5.0, 5.0, [5.0]),
+])
+def test_log_ticks(lo, hi, expected):
+    assert svg._log_ticks(lo, hi) == pytest.approx(expected, rel=1e-12)
+
+
+def test_band_chart_has_ticks_and_legend(tmp_path):
+    freqs = np.geomspace(1e7, 5e9, 50)
+    q_noise = np.linspace(0.01, 0.2, 50)
+    q_attack = np.linspace(0.15, 0.05, 50)
+    classes = ["Vulnerable"] * 10 + ["Suitable"] * 30 + ["Noisy"] * 10
+    path = tmp_path / "band.svg"
+    svg.band_chart(path, freqs, q_noise, q_attack, classes, "t", 0.11)
+    x_labels, y_labels = _ticks(path)
+    assert [t for _, t in x_labels] == ["1e+07", "1e+08", "1e+09"]
+    sx = svg._scale(1e7, 5e9, _ML, _W - _MR, log=True)
+    for (px, _), f in zip(x_labels, (1e7, 1e8, 1e9)):
+        assert px == pytest.approx(sx(f), abs=0.06)
+    # QBER from 0 to 1.1 x the largest curve value, bottom to top
+    hi = 0.2 * 1.1
+    assert [t for _, t in y_labels] == [f"{v:.3g}"
+                                        for v in np.linspace(0, hi, 5)]
+    assert y_labels[0][0] == pytest.approx(_H - _MB, abs=0.06)
+    assert y_labels[-1][0] == pytest.approx(_MT, abs=0.06)
+    legend = re.findall(r'font-size="11" fill="([^"]+)">([^<]+)</text>',
+                        path.read_text())
+    assert legend == [(svg._COLORS[0], "self-noise QBER"),
+                      (svg._COLORS[1], "attack QBER")]
 
 
 def test_heatmap_rejects_axes_that_do_not_match_the_matrix(tmp_path):
