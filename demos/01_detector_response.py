@@ -13,6 +13,8 @@ from aftergate.detector import click_probability_array
 cfg = load_config()
 det = cfg.detector
 width = det.timing.gate_width
+sc = cfg.values["scenario"]
+signal, flux = sc["signal_flux"], sc["flux_full"]
 
 print(f"gate: {det.timing.gating_frequency / 1e9:.1f} GHz clock, "
       f"{width:.0f} ps wide, period {det.timing.gate_period:.0f} ps")
@@ -23,15 +25,17 @@ for delay in (0.0, 60.0, 110.0, 140.0, 153.0, 163.0):
           f"   gain={float(det.gain(delay)):.3f}"
           f"   N_th={int(det.threshold_count(delay))}")
 
-p1 = click_probability(det, PulseSpec(mean_flux=0.1, delay=0.0))
-print(f"\nsingle photons (flux 0.1) at the optimum click with p = {p1:.4f}"
-      f"  -> efficiency {-np.log(1 - p1 + det.dark_count_prob) / 0.1:.3f}")
+p1 = click_probability(det, PulseSpec(mean_flux=signal))
+efficiency = -np.log(1 - p1 + det.dark_count_prob) / signal
+print(f"\nsingle photons (flux {signal:g}) at the optimum click with p = "
+      f"{p1:.4f}  -> efficiency {efficiency:.3f}")
 
-print("\nsuperlinearity: full (80) vs half (40) photons per pulse")
+print(f"\nsuperlinearity: full ({flux:g}) vs half ({flux / 2:g}) photons per "
+      "pulse")
 print(f"{'delay':>8} {'p_full':>10} {'p_half':>10} {'p_f / 2 p_h':>12}")
 for delay in (20.0, 120.0, 145.0, 150.0, 153.0, 156.0, 160.0):
-    p_f = float(click_probability_array(det, 80.0, delay))
-    p_h = float(click_probability_array(det, 40.0, delay))
+    p_f = float(click_probability_array(det, flux, delay))
+    p_h = float(click_probability_array(det, flux / 2, delay))
     print(f"{delay:8.1f} {p_f:10.5f} {p_h:10.5f} {p_f / (2 * p_h):12.3f}")
 
 print("\nmid-gate the detector saturates (ratio 1/2); on the trailing edge")

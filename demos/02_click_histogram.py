@@ -7,36 +7,31 @@ trial's clicks pass through the time tagger's dead time before accumulation.
 
 from pathlib import Path
 
-from aftergate import PulseSpec, load_config, simulate_pulse_train
-from aftergate.io import write_histogram_csv
-from aftergate.svg import bar_chart
+import numpy as np
+
+from aftergate import load_config
+from aftergate.cli import main
 
 OUT = Path(__file__).resolve().parent / "out"
-OUT.mkdir(exist_ok=True)
+TRIALS = 2_000_000
 
 cfg = load_config()
-det, env = cfg.detector, cfg.environment
+code = main(["--out", str(OUT), "--trials", str(TRIALS), "--seed", "8081",
+             "histogram"])
+if code:
+    raise SystemExit(code)
+# the counts column of the file the command wrote
+counts = np.loadtxt(OUT / "histogram.csv", delimiter=",", skiprows=1,
+                    usecols=1, dtype=np.int64)
 
-trials = 2_000_000
-gates = 12
-pulse = PulseSpec(mean_flux=0.1, delay=0.0)
-
-dead_time = cfg.values["histogram"]["dead_time"]
-counts = simulate_pulse_train(det, [(0, pulse)], env, trials=trials,
-                              seed=8081, window=gates, dead_time=dead_time)
-
-print(f"{trials} trials, flux 0.1 at the optimal delay, "
-      f"{dead_time / 1000:g} ns dead time")
+print(f"{TRIALS} trials, flux {cfg.values['scenario']['signal_flux']:g} at "
+      f"the optimal delay, {cfg.values['histogram']['dead_time'] / 1000:g} "
+      f"ns dead time")
 print(f"{'gate':>5} {'counts':>9} {'per trial':>11}")
 for i, c in enumerate(counts, start=1):
     bar = "#" * max(1, int(40 * c / counts[0])) if c else ""
-    print(f"{i:5d} {int(c):9d} {c / trials:11.6f}  {bar}")
+    print(f"{i:5d} {int(c):9d} {c / TRIALS:11.6f}  {bar}")
 
 ratio = counts[1] / counts[0]
 print(f"\ngate 2 / gate 1 = {ratio:.4f} (about one percent: trap release "
       f"plus background)")
-
-write_histogram_csv(OUT / "histogram.csv", counts, trials)
-bar_chart(OUT / "histogram.svg", [str(i + 1) for i in range(gates)],
-          counts, "single-photon click histogram", "gate index", "counts")
-print(f"wrote {OUT / 'histogram.csv'} and {OUT / 'histogram.svg'}")

@@ -8,22 +8,22 @@ ln(lifetime) on 1/T recovers the activation energy.
 
 from dataclasses import replace
 
-from aftergate import (Environment, PulseSpec, TrapSpecies, arrhenius_fit,
+from aftergate import (Environment, PulseSpec, arrhenius_fit,
                        extract_lifetime, load_config, trap_lifetime)
 from aftergate.montecarlo import analytic_gate_probabilities
 
 cfg = load_config()
 det = replace(cfg.detector, dark_count_prob=0.0, afterpulse_prob=0.0,
-              multiplication_trap=TrapSpecies(
-                  0.110, 8.0, capture_per_avalanche_charge=0.0))
+              multiplication_trap=replace(cfg.detector.multiplication_trap,
+                                          capture_per_avalanche_charge=0.0))
+pulse = PulseSpec(cfg.values["scenario"]["signal_flux"])
 
-temps = (243.15, 258.15, 273.15, 293.15)
+temps = (243.15, 258.15, 273.15, cfg.environment.temperature)
 lifetimes = []
 print("per-temperature extraction (anchor/probe gates 2 and 4):")
 for temp in temps:
     env = Environment(temperature=temp)
-    probs = analytic_gate_probabilities(det, [(0, PulseSpec(0.1, 0.0))],
-                                        env, 10)
+    probs = analytic_gate_probabilities(det, [(0, pulse)], env, 10)
     tau_hat = extract_lifetime(probs, det.timing.gate_period,
                                use_gates=(2, 4), background=0.0)
     tau_true = trap_lifetime(det.interface_trap, env)

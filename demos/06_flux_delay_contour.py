@@ -1,9 +1,9 @@
 """Map the target-gate QBER over attack flux and delay.
 
-Saturated mid-gate cells sit at 25%. A tongue of sub-11% cells opens along
-the trailing edge: the parameter space where the attack would go unnoticed
-if delayed detection were ignored. The attacker's cheapest flux lives
-strictly inside the edge.
+Saturated mid-gate cells sit at 25%. A tongue of sub-threshold cells opens
+along the trailing edge: the parameter space where the attack would go
+unnoticed if delayed detection were ignored. The attacker's cheapest flux
+lives strictly inside the edge.
 """
 
 from pathlib import Path
@@ -12,23 +12,23 @@ import numpy as np
 
 from aftergate import contour_flux_delay, load_config
 from aftergate.attack import sub_threshold_region
-from aftergate.io import write_contour_csv
-from aftergate.svg import heatmap
+from aftergate.cli import main
 
 OUT = Path(__file__).resolve().parent / "out"
-OUT.mkdir(exist_ok=True)
 
 cfg = load_config()
-det = cfg.detector
+sec, sc = cfg.values["contour"], cfg.values["scenario"]
+threshold = cfg.values["feasibility"]["qber_threshold"]
 
-fluxes = np.arange(2.0, 101.0, 2.0)
-delays = np.arange(0.0, 200.5, 1.0)
-matrix = contour_flux_delay(det, fluxes, delays)
+fluxes = np.linspace(sec["flux_min"], sec["flux_max"], sec["flux_points"])
+delays = np.linspace(sec["delay_min"], sec["delay_max"], sec["delay_points"])
+matrix = contour_flux_delay(cfg.detector, fluxes, delays)
 
-region = sub_threshold_region(matrix, 0.11)
+region = sub_threshold_region(matrix, threshold)
 print(f"grid: {len(fluxes)} fluxes x {len(delays)} delays")
-print(f"cells with QBER < 11%: {int(region.sum())}")
-for mu in (10.0, 20.0, 40.0, 80.0):
+print(f"cells with QBER < {threshold:.0%}: {int(region.sum())}")
+# a faint pulse, the feasibility attack, and the sweep's half and full power
+for mu in (10.0, sc["attack_flux"], sc["flux_full"] / 2, sc["flux_full"]):
     i = int(np.where(fluxes == mu)[0][0])
     row = matrix[i]
     j = int(np.nanargmin(row))
@@ -40,8 +40,4 @@ rows = np.where(region.any(axis=1))[0]
 print(f"\nsmallest flux with an undetected cell: {fluxes[rows[0]]:.0f} "
       f"photons/pulse")
 
-write_contour_csv(OUT / "contour.csv", fluxes, delays, matrix)
-heatmap(OUT / "contour.svg", delays, fluxes, matrix,
-        "target-gate QBER over flux and delay", "delay (ps)",
-        "flux (photons/pulse)", iso=0.11)
-print(f"wrote {OUT / 'contour.csv'} and {OUT / 'contour.svg'}")
+raise SystemExit(main(["--out", str(OUT), "contour"]))

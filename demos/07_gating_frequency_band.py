@@ -12,34 +12,28 @@ from pathlib import Path
 import numpy as np
 
 from aftergate import Environment, feasibility_band, load_config
+from aftergate.cli import main
 from aftergate.feasibility import suitable_interval
-from aftergate.io import write_feasibility_csv
-from aftergate.svg import band_chart
 
 OUT = Path(__file__).resolve().parent / "out"
-OUT.mkdir(exist_ok=True)
 
 cfg = load_config()
-det = cfg.detector
-freqs = np.geomspace(1e7, 5e9, 50)
+sec, sc = cfg.values["feasibility"], cfg.values["scenario"]
+freqs = np.geomspace(sec["freq_min"], sec["freq_max"], sec["freq_points"])
+clock = cfg.detector.timing.gating_frequency
 
-for temp in (293.15, 223.15):
+for temp in sec["temperatures"]:
     env = Environment(temperature=temp)
-    band = feasibility_band(freqs, env, det)
+    band = feasibility_band(freqs, env, cfg.detector, sc["signal_flux"],
+                            sc["attack_flux"], sec["qber_threshold"])
     interval = suitable_interval(band)
     marks = {"Vulnerable": "v", "Suitable": "S", "Noisy": "n"}
     line = "".join(marks[v.classification] for v in band)
     print(f"T = {temp:6.2f} K: {line}")
     print(f"    suitable {interval[0]:.2e} .. {interval[1]:.2e} Hz")
-    i_1g = int(np.argmin(np.abs(freqs - 1e9)))
-    print(f"    1 GHz -> {band[i_1g].classification} "
-          f"(self-noise {band[i_1g].q_noise:.4f}, "
-          f"attack QBER {band[i_1g].q_attack:.4f})")
-    tag = f"{temp:g}K"
-    write_feasibility_csv(OUT / f"feasibility_{tag}.csv", band)
-    band_chart(OUT / f"feasibility_{tag}.svg", freqs,
-               [v.q_noise for v in band], [v.q_attack for v in band],
-               [v.classification for v in band],
-               f"gating-frequency feasibility at {temp:g} K", 0.11)
+    i_clock = int(np.argmin(np.abs(freqs - clock)))
+    print(f"    {clock / 1e9:g} GHz -> {band[i_clock].classification} "
+          f"(self-noise {band[i_clock].q_noise:.4f}, "
+          f"attack QBER {band[i_clock].q_attack:.4f})")
 
-print(f"\nwrote CSV and SVG pairs into {OUT}")
+raise SystemExit(main(["--out", str(OUT), "feasibility"]))

@@ -16,10 +16,10 @@ _EXPORTS = {
     "characterization": ("ArrheniusFit", "LifetimeExtractionError",
                          "arrhenius_fit", "build_histogram",
                          "extract_lifetime"),
-    "attack": ("QBER_THRESHOLD", "NoSignalError", "attack_histogram",
-               "binary_entropy", "contour_flux_delay", "gate2_vs_delay",
-               "key_rate", "mean_delayed", "partial_attack_rates",
-               "qber_target", "qber_with_dd", "sweep_delay"),
+    "attack": ("NoSignalError", "attack_histogram", "binary_entropy",
+               "contour_flux_delay", "gate2_vs_delay", "key_rate",
+               "mean_delayed", "partial_attack_rates", "qber_target",
+               "qber_with_dd", "sweep_delay"),
     "feasibility": ("attack_qber_at_frequency", "feasibility_band",
                     "noise_qber", "rescale_detector"),
     "montecarlo": ("analytic_gate_probabilities", "simulate_pulse_train"),

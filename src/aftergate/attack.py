@@ -16,9 +16,6 @@ from .detector import (DetectorParams, Environment, PulseSpec,
                        click_probability_array,
                        delayed_click_probability_arrays)
 
-# BB84 security threshold shared across modules; configurable per call.
-QBER_THRESHOLD = 0.11
-
 
 class NoSignalError(ValueError):
     """Both detection probabilities vanish; the QBER is undefined."""
@@ -171,7 +168,7 @@ def contour_flux_delay(det: DetectorParams, fluxes, delays) -> np.ndarray:
 
 
 def sub_threshold_region(qber_matrix: np.ndarray,
-                         threshold: float = QBER_THRESHOLD) -> np.ndarray:
+                         threshold: float) -> np.ndarray:
     """Boolean mask of grid cells where the attack stays undetected."""
     with np.errstate(invalid="ignore"):
         return np.asarray(qber_matrix) < threshold

@@ -201,6 +201,11 @@ def load_config(path: str | Path | None = None,
     try:
         timing = GateTiming(gating_frequency=det_sec.pop("gating_frequency"),
                             gate_width=det_sec.pop("gate_width"))
+    except KeyError as exc:
+        raise ConfigError(f"missing config key: {exc}") from exc
+    except ValueError as exc:  # the message opens with the key it blames
+        raise ConfigError(f"detector.{exc}") from exc
+    try:
         detector = _build(
             DetectorParams, det_sec, timing=timing,
             interface_trap=_build(TrapSpecies, values["traps.interface"]),

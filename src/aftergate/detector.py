@@ -92,6 +92,10 @@ class GateTiming:
             raise ValueError("gating_frequency must be > 0")
         if not np.all(np.isfinite(self.gating_frequency)):
             raise ValueError("gating_frequency must be finite and > 0")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.gate_period)):
+                raise ValueError("gating_frequency is too small for a finite "
+                                 "gate period")
         period, width = np.broadcast_arrays(self.gate_period, self.gate_width)
         bad = ~((0.0 < width) & (width < period))
         if bad.any():
@@ -125,7 +129,10 @@ def _flat_top(delay, flat, edge, floor):
     """Intra-gate profile: 1 on [0, flat), a raised-cosine fall to floor
     over the next `edge` ps, then floor; floor before the gate opens."""
     t = np.asarray(delay, dtype=float)
-    fall = 0.5 * (1.0 + np.cos(np.pi * np.clip((t - flat) / edge, 0.0, 1.0)))
+    # clip, then divide: a subnormal edge cannot overflow, a zero one steps
+    u = np.clip(t - flat, 0.0, edge)
+    fall = 0.5 * (1.0 + np.cos(np.pi * np.divide(u, edge, out=np.ones_like(u),
+                                                 where=edge > 0)))
     # an explicit 1.0: floor + (1 - floor) can round away from 1
     out = np.where(t < flat, 1.0, floor + (1.0 - floor) * fall)
     return np.where(t < 0.0, floor, out)
@@ -208,7 +215,8 @@ class DetectorParams:
 
     def threshold_count(self, delay):
         """Avalanches needed for a click; ties at exact equality click."""
-        ratio = self.discrimination_threshold / self.gain(delay)
+        with np.errstate(over="ignore"):  # a subnormal floor: no click
+            ratio = self.discrimination_threshold / self.gain(delay)
         # the 1e-12 guard keeps exact integer ratios from rounding up
         return np.maximum(np.ceil(ratio - 1e-12), 1.0)
 
@@ -376,8 +384,9 @@ def delayed_release_mean(det: DetectorParams, mean_flux, delays,
     for species, pop in zip((det.interface_trap, det.multiplication_trap),
                             trap_loading(det, mean_flux, d)):
         tau = trap_lifetime(species, env)
-        total = total + pop * (np.exp(-start / tau)
-                               - np.exp(-(start + width) / tau))
+        with np.errstate(over="ignore"):  # subnormal tau: instant release
+            total = total + pop * (np.exp(-start / tau)
+                                   - np.exp(-(start + width) / tau))
     return total * det.trigger_peak
 
 

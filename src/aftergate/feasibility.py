@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .attack import QBER_THRESHOLD, _grid, _sweep_arrays
+from .attack import _grid, _sweep_arrays
 # click_probability, delayed_click_probability_arrays, trap_lifetime and
 # trap_loading are unused here; bench/tracer.py wraps them by these names.
 from .detector import (DetectorParams, Environment, GateTiming,  # noqa: F401
@@ -23,7 +23,7 @@ from .detector import (DetectorParams, Environment, GateTiming,  # noqa: F401
                        delayed_release_mean, trap_lifetime, trap_loading)
 
 
-def classify(q_noise, q_attack, threshold: float = QBER_THRESHOLD):
+def classify(q_noise, q_attack, threshold: float):
     """Pure trichotomy on the two QBER figures; a str for scalars, an
     array of them elementwise over arrays."""
     return np.where(q_noise > threshold, "Noisy",
@@ -45,8 +45,7 @@ def rescale_detector(det: DetectorParams, frequency) -> DetectorParams:
     return replace(det, timing=timing)
 
 
-def noise_qber(det: DetectorParams, env: Environment,
-               signal_flux: float = 0.1):
+def noise_qber(det: DetectorParams, env: Environment, signal_flux: float):
     """QBER induced by the detector's own delayed detection, no eavesdropper.
 
     Each legitimate detection at the optimal delay seeds interface-trap
@@ -71,7 +70,7 @@ def noise_qber(det: DetectorParams, env: Environment,
 
 
 def attack_qber_at_frequency(det: DetectorParams, env: Environment,
-                             attack_flux: float = 20.0):
+                             attack_flux: float):
     """Best corrected QBER an attacker can reach at this clock rate.
 
     Minimizes the delayed-detection QBER over 512 pulse delays (the attacker
@@ -91,10 +90,8 @@ def attack_qber_at_frequency(det: DetectorParams, env: Environment,
 
 
 def feasibility_band(frequencies, env: Environment,
-                     det_template: DetectorParams,
-                     signal_flux: float = 0.1,
-                     attack_flux: float = 20.0,
-                     threshold: float = QBER_THRESHOLD) -> np.recarray:
+                     det_template: DetectorParams, signal_flux: float,
+                     attack_flux: float, threshold: float) -> np.recarray:
     """One verdict per frequency of an ascending grid, as records
     (frequency [Hz], q_noise, q_attack, classification); every frequency
     is evaluated in one pass of the kernels."""

@@ -162,9 +162,14 @@ def test_criterion_6_monte_carlo_matches_analytic():
 
 def test_criterion_7_feasibility_band(cfg):
     det = cfg.detector
+    sc = cfg.values["scenario"]
+    scenario = (sc["signal_flux"], sc["attack_flux"],
+                cfg.values["feasibility"]["qber_threshold"])
     freqs = np.geomspace(1e7, 5e9, 50)
-    warm = feasibility_band(freqs, Environment(temperature=293.15), det)
-    cold = feasibility_band(freqs, Environment(temperature=223.15), det)
+    warm = feasibility_band(freqs, Environment(temperature=293.15), det,
+                            *scenario)
+    cold = feasibility_band(freqs, Environment(temperature=223.15), det,
+                            *scenario)
     i_1g = int(np.argmin(np.abs(freqs - 1e9)))
     assert warm[i_1g].classification == "Suitable"
     for band in (warm, cold):

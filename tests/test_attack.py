@@ -174,7 +174,9 @@ class TestDelayGridValidation:
 
 @pytest.mark.parametrize("grid, call", [
     ("flux", lambda det, env: contour_flux_delay(det, [[1.0, 2.0]], [10.0])),
-    ("frequency", lambda det, env: feasibility_band([[1e8, 1e9]], env, det)),
+    ("frequency",
+     lambda det, env: feasibility_band([[1e8, 1e9]], env, det, 0.1, 20.0,
+                                       0.11)),
     ("fraction", lambda det, env: partial_attack_rates(0.2, 0.02, [[0.1]])),
 ])
 def test_grid_not_1d_rejected(det, env, grid, call):

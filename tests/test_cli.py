@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -404,6 +405,11 @@ class TestErrorPaths:
          ["--set", "feasibility.qber_threshold=0.5", "partial-attack"]),
         ("feasibility.qber_threshold",
          ["--set", "feasibility.qber_threshold=2", "sweep"]),
+        # a clock so slow that its period overflows to inf
+        ("detector.gating_frequency",
+         ["--set", "detector.gating_frequency=1e-300", "gate2"]),
+        ("detector.gating_frequency",
+         ["--set", "detector.gating_frequency=1e-300", "histogram"]),
     ])
     def test_count_and_seed_out_of_range_is_config_error(self, tmp_path,
                                                          capsys, key, argv):
@@ -625,6 +631,34 @@ def test_histogram_overrides_keep_exit_contract(tmp_path, values):
     else:
         assert err == ""
     assert out.exists() == (code == 0)
+
+
+_MODEL_KEYS = [f"{section}.{key}" for section in _REQUIRED_SECTIONS
+               for key in _SCHEMA[section]]
+
+
+@pytest.mark.parametrize("command", ["sweep", "histogram"])
+@pytest.mark.parametrize("key", _MODEL_KEYS)
+def test_model_overrides_keep_exit_contract(tmp_path, key, command):
+    # one override at a time, each edge value plus the smallest subnormal,
+    # a subnormal whose reciprocal overflows, and a huge value; a numpy
+    # warning counts as a line on stderr, as it would in a real run
+    broken = []
+    for raw in [*_EDGES, "5e-324", "1e-320", "1e300"]:
+        out = tmp_path / f"{raw or 'empty'}-{command}"
+        err = StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(StringIO()), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["--out", str(out), "--trials", "20000",
+                         "--set", f"{key}={raw}", command])
+        lines = err.getvalue() + "".join(f"{w.category.__name__}: "
+                                         f"{w.message}\n" for w in caught)
+        if (code not in (0, 1, 2) or out.exists() != (code == 0)
+                or lines.count("\n") != (code != 0)
+                or "Traceback" in lines):
+            broken.append(f"{raw!r}: exit {code}, stderr {lines!r}")
+    assert not broken, "\n".join(broken)
 
 
 @pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "logging"])

@@ -4,7 +4,7 @@ import configparser
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -60,6 +60,20 @@ class TestConfig:
         parser.read(default_config_path())
         assert {s: set(parser[s]) for s in parser.sections()} == \
             {s: set(keys) for s, keys in _SCHEMA.items()}
+
+    def test_detector_field_defaults_match_packaged_calibration(self):
+        # a config that leaves a shape key out gets the field default, so
+        # it must be the packaged [detector] value: neither copy changes
+        # alone
+        defaults = {f.name: f.default for f in fields(DetectorParams)
+                    if f.default is not MISSING}
+        shipped = load_config().values["detector"]
+        assert sorted(defaults) == [
+            "afterpulse_spread_gates", "gain_edge_fraction",
+            "gain_flat_fraction", "gain_floor", "trigger_flat_fraction",
+            "trigger_peak"]
+        assert {key: (shipped[key], type(shipped[key])) for key in defaults} \
+            == {key: (value, type(value)) for key, value in defaults.items()}
 
     def test_minimal_config(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -460,8 +474,9 @@ def shipped_outputs(default_cfg):
                                   np.linspace(95.0, 960.0, 200), env),)],
         "partial_attack": [(partial_attack_rates(min(q_dd, 0.5), 0.02,
                                                  np.linspace(0, 1, 101)),)],
-        "feasibility": [(feasibility_band(np.geomspace(1e7, 5e9, 12), env,
-                                          det),)],
+        "feasibility": [(feasibility_band(
+            np.geomspace(1e7, 5e9, 12), env, det, sc["signal_flux"],
+            sc["attack_flux"], cfg.values["feasibility"]["qber_threshold"]),)],
     }
 
 

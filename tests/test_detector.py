@@ -16,7 +16,7 @@ from aftergate import (Environment, PulseSpec, TrapSpecies,
                        click_probability, trap_lifetime, trap_loading)
 from aftergate.attack import (attack_histogram, contour_flux_delay,
                               gate2_vs_delay, sweep_delay)
-from aftergate.detector import (DetectorParams, GateTiming,
+from aftergate.detector import (DetectorParams, GateTiming, _flat_top,
                                 click_probability_array,
                                 delayed_click_probability_arrays,
                                 delayed_release_mean, poisson_tail)
@@ -406,6 +406,31 @@ class TestProfiles:
         assert float(det.gain(-1.0)) == det.gain_floor
         assert float(det.gain(600.0)) == det.gain_floor
 
+    def test_edge_clipped_before_division(self):
+        # clipping t - flat to [0, edge] and then dividing gives the bits of
+        # clipping the quotient to [0, 1]; a subnormal or zero edge then
+        # raises no floating-point warning, and a zero edge is a step
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            flat, edge = rng.uniform(0.0, 300.0, 2)
+            floor = rng.uniform(0.0, 1.0)
+            t = np.concatenate([rng.uniform(-50.0, 700.0, 64),
+                                [0.0, flat, flat + edge]])
+            fall = 0.5 * (1.0 + np.cos(np.pi * np.clip((t - flat) / edge,
+                                                       0.0, 1.0)))
+            quotient_first = np.where(
+                t < 0.0, floor, np.where(t < flat, 1.0,
+                                         floor + (1.0 - floor) * fall))
+            assert np.array_equal(_flat_top(t, flat, edge, floor),
+                                  quotient_first)
+        t = np.array([-1.0, 0.0, 10.0, 20.0, 20.0 + 1e-12, 500.0])
+        with np.errstate(all="raise"):
+            for edge in (1e-320, 5e-324, 0.0):
+                assert _flat_top(t, 20.0, edge, 0.25).tolist()[:4] == \
+                    [0.25, 1.0, 1.0, 0.25 if edge == 0.0 else 1.0]
+                assert _flat_top(t, 20.0, edge, 0.25).tolist()[4:] == \
+                    [0.25, 0.25]
+
     def test_profiles_non_increasing_over_trailing_edge(self, det):
         t = np.linspace(0.0, det.timing.gate_width, 500)
         assert np.all(np.diff(det.trigger_shape(t)) <= 1e-15)
@@ -437,7 +462,14 @@ class TestProfiles:
         with pytest.raises(ValueError, match=match):
             GateTiming(gating_frequency=bad, gate_width=166.0)
         with pytest.raises(ValueError, match=match):
-            feasibility_band([1e9, bad], env, det)
+            feasibility_band([1e9, bad], env, det, 0.1, 20.0, 0.11)
+
+    @pytest.mark.parametrize("frequency", [1e-300, 5e-324,
+                                           np.array([1e9, 1e-300])])
+    def test_infinite_gate_period_rejected(self, frequency):
+        with pytest.raises(ValueError, match=r"^gating_frequency is too small "
+                           r"for a finite gate period"):
+            GateTiming(gating_frequency=frequency, gate_width=166.0)
 
     def test_gate_period_derived_exactly(self):
         timing = GateTiming(gating_frequency=1e9, gate_width=166.0)

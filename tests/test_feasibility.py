@@ -16,25 +16,43 @@ from aftergate import (Environment, TrapSpecies,
 from aftergate.feasibility import classify, suitable_interval
 
 
+@pytest.fixture(scope="module")
+def signal(default_cfg):
+    return default_cfg.values["scenario"]["signal_flux"]
+
+
+@pytest.fixture(scope="module")
+def attack(default_cfg):
+    return default_cfg.values["scenario"]["attack_flux"]
+
+
+@pytest.fixture(scope="module")
+def threshold(default_cfg):
+    return default_cfg.values["feasibility"]["qber_threshold"]
+
+
 class TestNoiseQber:
-    def test_zero_without_capture_and_background(self, det, env):
+    def test_zero_without_capture_and_background(self, det, env, signal):
         quiet = replace(det, dark_count_prob=0.0, afterpulse_prob=0.0,
                         interface_trap=TrapSpecies(
                             0.040, 100.0, capture_fraction_photo=0.0))
-        assert noise_qber(quiet, env) == 0.0
+        assert noise_qber(quiet, env, signal) == 0.0
 
-    def test_below_threshold_at_default_operating_point(self, det, env):
-        assert noise_qber(det, env) < 0.11
+    def test_below_threshold_at_default_operating_point(self, det, env,
+                                                         signal, threshold):
+        assert noise_qber(det, env, signal) < threshold
 
-    def test_non_decreasing_in_frequency(self, det, env):
+    def test_non_decreasing_in_frequency(self, det, env, signal):
         freqs = np.geomspace(1e7, 2e9, 40)  # below the 20 C turnover
-        q = [noise_qber(rescale_detector(det, f), env) for f in freqs]
+        q = [noise_qber(rescale_detector(det, f), env, signal)
+             for f in freqs]
         assert np.all(np.diff(q) >= -1e-15)
 
-    def test_colder_is_noisier_in_survival_regime(self, det, env, cold_env):
+    def test_colder_is_noisier_in_survival_regime(self, det, env, cold_env,
+                                                  signal):
         for f in np.geomspace(2e8, 1.2e9, 12):
             d = rescale_detector(det, f)
-            assert noise_qber(d, cold_env) > noise_qber(d, env)
+            assert noise_qber(d, cold_env, signal) > noise_qber(d, env, signal)
 
     def test_rejects_zero_flux(self, det, env):
         with pytest.raises(ValueError):
@@ -42,40 +60,42 @@ class TestNoiseQber:
 
 
 class TestAttackQber:
-    def test_high_frequency_detectable(self, det, env):
+    def test_high_frequency_detectable(self, det, env, attack, threshold):
         d = rescale_detector(det, 2e9)
-        assert attack_qber_at_frequency(d, env) > 0.11
+        assert attack_qber_at_frequency(d, env, attack) > threshold
 
-    def test_low_frequency_vulnerable_matches_bare_dip(self, det, env):
+    def test_low_frequency_vulnerable_matches_bare_dip(self, det, env, attack,
+                                                       threshold):
         # at 10 MHz the traps are empty by the next gate: the corrected
         # QBER collapses to the target-gate dip (plus dark floor)
         d = rescale_detector(det, 1e7)
-        q = attack_qber_at_frequency(d, env)
-        assert q < 0.11
+        q = attack_qber_at_frequency(d, env, attack)
+        assert q < threshold
         delays = np.linspace(0.0, 1.05 * d.timing.gate_width, 512)
-        pts = sweep_delay(d, 20.0, delays, env)
+        pts = sweep_delay(d, attack, delays, env)
         bare_dip = np.nanmin([p.q_target for p in pts])
         assert q == pytest.approx(bare_dip, abs=0.02)
 
-    def test_non_decreasing_in_frequency(self, det, env):
+    def test_non_decreasing_in_frequency(self, det, env, attack):
         freqs = np.geomspace(1e7, 1.6e9, 30)  # below the 20 C turnover
-        q = [attack_qber_at_frequency(rescale_detector(det, f), env)
+        q = [attack_qber_at_frequency(rescale_detector(det, f), env, attack)
              for f in freqs]
         assert np.all(np.diff(q) >= -1e-12)
 
 
 class TestClassification:
-    def test_trichotomy_is_pure_function(self):
-        assert classify(0.12, 0.20) == "Noisy"
-        assert classify(0.05, 0.08) == "Vulnerable"
-        assert classify(0.05, 0.20) == "Suitable"
+    def test_trichotomy_is_pure_function(self, threshold):
+        assert classify(0.12, 0.20, threshold) == "Noisy"
+        assert classify(0.05, 0.08, threshold) == "Vulnerable"
+        assert classify(0.05, 0.20, threshold) == "Suitable"
         # noise dominates when both fail
-        assert classify(0.12, 0.08) == "Noisy"
+        assert classify(0.12, 0.08, threshold) == "Noisy"
 
-    def test_threshold_is_configurable_and_shifts_both_edges(self, det, env):
+    def test_threshold_is_configurable_and_shifts_both_edges(self, det, env,
+                                                             signal, attack):
         freqs = np.geomspace(1e8, 2e9, 12)
-        loose = feasibility_band(freqs, env, det, threshold=0.20)
-        tight = feasibility_band(freqs, env, det, threshold=0.05)
+        loose = feasibility_band(freqs, env, det, signal, attack, 0.20)
+        tight = feasibility_band(freqs, env, det, signal, attack, 0.05)
         loose_s = [v.frequency for v in loose if v.classification == "Suitable"]
         tight_s = [v.frequency for v in tight if v.classification == "Suitable"]
         assert loose_s != tight_s
@@ -87,13 +107,13 @@ def freqs():
 
 
 @pytest.fixture(scope="module")
-def band20(det, env, freqs):
-    return feasibility_band(freqs, env, det)
+def band20(det, env, freqs, signal, attack, threshold):
+    return feasibility_band(freqs, env, det, signal, attack, threshold)
 
 
 @pytest.fixture(scope="module")
-def band50(det, cold_env, freqs):
-    return feasibility_band(freqs, cold_env, det)
+def band50(det, cold_env, freqs, signal, attack, threshold):
+    return feasibility_band(freqs, cold_env, det, signal, attack, threshold)
 
 
 class TestBand:
@@ -102,11 +122,13 @@ class TestBand:
                                  - 1e9)))
         assert band20[i].classification == "Suitable"
 
-    def test_every_point_classified_exactly_once(self, band20, band50):
+    def test_every_point_classified_exactly_once(self, band20, band50,
+                                                 threshold):
         for band in (band20, band50):
             for v in band:
                 assert v.classification in ("Noisy", "Suitable", "Vulnerable")
-                assert v.classification == classify(v.q_noise, v.q_attack)
+                assert v.classification == classify(v.q_noise, v.q_attack,
+                                                    threshold)
 
     def test_suitable_set_is_interval(self, band20, band50):
         for band in (band20, band50):
@@ -127,9 +149,10 @@ class TestBand:
         lo50, hi50 = suitable_interval(band50)
         assert np.sqrt(lo50 * hi50) < np.sqrt(lo20 * hi20)
 
-    def test_rejects_unsorted_grid(self, det, env):
+    def test_rejects_unsorted_grid(self, det, env, signal, attack,
+                                   threshold):
         with pytest.raises(ValueError):
-            feasibility_band([1e9, 1e8], env, det)
+            feasibility_band([1e9, 1e8], env, det, signal, attack, threshold)
 
 
 class TestBroadcastBand:
@@ -145,7 +168,7 @@ class TestBroadcastBand:
         for temp in sec["temperatures"]:
             env = replace(default_cfg.environment, temperature=temp)
             band = feasibility_band(freqs, env, det, sc["signal_flux"],
-                                    sc["attack_flux"])
+                                    sc["attack_flux"], sec["qber_threshold"])
             dets = [rescale_detector(det, f) for f in freqs]
             assert np.array_equal(band.q_noise, [
                 noise_qber(d, env, sc["signal_flux"]) for d in dets])

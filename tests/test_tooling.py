@@ -100,12 +100,11 @@ def test_traced_chunks_cover_every_trial(tmp_path, monkeypatch):
     assert chunks == [trials]
 
 
-# today's public names: the 36 exports and their six submodules
+# today's public names: the 35 exports and their six submodules
 PUBLIC = [
     "ArrheniusFit", "ConfigError", "DetectorParams", "Environment",
     "GateTiming", "K_BOLTZMANN_EV", "LifetimeExtractionError",
-    "NoSignalError", "PulseSpec", "QBER_THRESHOLD", "RunConfig",
-    "TrapSpecies", "analytic_gate_probabilities", "arrhenius_fit", "attack",
+    "NoSignalError", "PulseSpec", "RunConfig", "TrapSpecies", "analytic_gate_probabilities", "arrhenius_fit", "attack",
     "attack_histogram", "attack_qber_at_frequency", "binary_entropy",
     "build_histogram", "characterization", "click_probability", "config",
     "contour_flux_delay", "default_config_path", "detector",
