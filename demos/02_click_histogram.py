@@ -22,7 +22,7 @@ if code:
     raise SystemExit(code)
 # the counts column of the file the command wrote
 counts = np.loadtxt(OUT / "histogram.csv", delimiter=",", skiprows=1,
-                    usecols=1, dtype=np.int64)
+                    usecols=1, dtype=np.int64, encoding="utf-8")
 
 print(f"{TRIALS} trials, flux {cfg.values['scenario']['signal_flux']:g} at "
       f"the optimal delay, {cfg.values['histogram']['dead_time'] / 1000:g} "

@@ -7,33 +7,33 @@ window sits in between and shifts down in frequency as the detector cools,
 because all lifetimes stretch.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 
-from aftergate import Environment, feasibility_band, load_config
+from aftergate import load_config
 from aftergate.cli import main
-from aftergate.feasibility import suitable_interval
 
 OUT = Path(__file__).resolve().parent / "out"
 
+if code := main(["--out", str(OUT), "feasibility"]):
+    raise SystemExit(code)
 cfg = load_config()
-sec, sc = cfg.values["feasibility"], cfg.values["scenario"]
-freqs = np.geomspace(sec["freq_min"], sec["freq_max"], sec["freq_points"])
 clock = cfg.detector.timing.gating_frequency
+summary = json.loads((OUT / "feasibility_summary.json").read_text(
+    encoding="utf-8"))
+marks = {"Vulnerable": "v", "Suitable": "S", "Noisy": "n"}
 
-for temp in sec["temperatures"]:
-    env = Environment(temperature=temp)
-    band = feasibility_band(freqs, env, cfg.detector, sc["signal_flux"],
-                            sc["attack_flux"], sec["qber_threshold"])
-    interval = suitable_interval(band)
-    marks = {"Vulnerable": "v", "Suitable": "S", "Noisy": "n"}
-    line = "".join(marks[v.classification] for v in band)
-    print(f"T = {temp:6.2f} K: {line}")
-    print(f"    suitable {interval[0]:.2e} .. {interval[1]:.2e} Hz")
-    i_clock = int(np.argmin(np.abs(freqs - clock)))
-    print(f"    {clock / 1e9:g} GHz -> {band[i_clock].classification} "
-          f"(self-noise {band[i_clock].q_noise:.4f}, "
-          f"attack QBER {band[i_clock].q_attack:.4f})")
-
-raise SystemExit(main(["--out", str(OUT), "feasibility"]))
+for temp in cfg.values["feasibility"]["temperatures"]:
+    band = np.genfromtxt(OUT / f"feasibility_{temp:g}K.csv", delimiter=",",
+                         names=True, dtype=None, encoding="utf-8")
+    interval = summary[f"{temp:g}K"]
+    print(f"T = {temp:6.2f} K: "
+          f"{''.join(marks[c] for c in band['classification'])}")
+    print(f"    suitable {interval['suitable_min_hz']:.2e} .. "
+          f"{interval['suitable_max_hz']:.2e} Hz")
+    at = band[np.argmin(np.abs(band["frequency_hz"] - clock))]
+    print(f"    {clock / 1e9:g} GHz -> {at['classification']} "
+          f"(self-noise {at['q_noise']:.4f}, "
+          f"attack QBER {at['q_attack']:.4f})")

@@ -197,6 +197,9 @@ def load_config(path: str | Path | None = None,
     if not (0 < lo < hi or 0 < lo == hi and feas["freq_points"] == 1):
         raise ConfigError(f"need 0 < feasibility.freq_min < feasibility."
                           f"freq_max (equal at 1 point), got {lo:g}, {hi:g}")
+    if not math.isfinite(1.0e12 / lo):  # GateTiming's gate_period rule
+        raise ConfigError("feasibility.freq_min is too small for a finite "
+                          "gate period")
     det_sec = dict(values["detector"])
     try:
         timing = GateTiming(gating_frequency=det_sec.pop("gating_frequency"),

@@ -279,15 +279,20 @@ def poisson_tail(k, lam) -> np.ndarray:
         raise ValueError("Poisson mean must be >= 0")
     distinct, index = np.unique(k, return_inverse=True)
     ks = distinct.tolist()
+    # np.unique sorts an infinite count last; its tail is 0, but its first
+    # term reads inf * log(lam) - inf, which is NaN once lam >= 1
+    infinite = bool(ks) and ks[-1] == math.inf
     index = index.reshape(k.shape)
     fact_down = np.array([math.lgamma((n - 1.0) + 1.0) for n in ks])[index]
     fact_up = np.array([math.lgamma(n + 1.0) for n in ks])[index]
     k, lam = np.broadcast_arrays(k, lam)
     down = lam >= k
     first = np.where(down, k - 1.0, k)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore" if infinite else None):
         pmf = np.exp(first * np.log(lam) - lam
                      - np.where(down, fact_down, fact_up))
+    if infinite:
+        pmf = np.where(k == math.inf, 0.0, pmf)
     out = np.empty(k.shape)
     out[down] = 1.0 - _series(pmf[down], lambda j, k, lam: (k - j) / lam,
                               k[down], lam[down])

@@ -214,7 +214,8 @@ def band_chart(path, freqs, q_noise, q_attack, classes, title,
     sy = _scale(0.0, hi, _H - _MB, _MT)
     parts = _open(title)
     shade = {"Vulnerable": "#f6d0d0", "Noisy": "#d0d8f6"}
-    edges = np.sqrt(freqs[:-1] * freqs[1:])
+    # geometric means, without a product that can overflow
+    edges = np.sqrt(freqs[:-1]) * np.sqrt(freqs[1:])
     lows = np.concatenate([[freqs[0]], edges])
     highs = np.concatenate([edges, [freqs[-1]]])
     for f0, f1, cls in zip(lows, highs, classes):

@@ -410,6 +410,10 @@ class TestErrorPaths:
          ["--set", "detector.gating_frequency=1e-300", "gate2"]),
         ("detector.gating_frequency",
          ["--set", "detector.gating_frequency=1e-300", "histogram"]),
+        # the lowest feasibility clock obeys the same rule
+        *(("feasibility.freq_min",
+           ["--set", f"feasibility.freq_min={lo}", "feasibility"])
+          for lo in ("1e-300", "1e-320", "5e-324")),
     ])
     def test_count_and_seed_out_of_range_is_config_error(self, tmp_path,
                                                          capsys, key, argv):
@@ -542,16 +546,22 @@ class TestErrorPaths:
         (["--set", "feasibility.temperatures=1e-3", "feasibility"], 0, ""),
         *[(["--set", "environment.temperature=1e-322", command], 0, "")
           for command in ("sweep", "histogram")],
+        (["--set", "detector.gain_floor=1e-320",
+          "--set", "scenario.flux_full=1e5", "sweep"], 0, ""),
+        (["--set", "feasibility.freq_max=1e300", "feasibility"], 0, ""),
     ], ids=["attack_hist_one_gate", "non_utf8_config", "cold_sweep",
             "cold_histogram", "cold_gate2", "cold_attack_hist",
             "cold_partial_attack", "cold_feasibility", "underflow_sweep",
-            "underflow_histogram"])
+            "underflow_histogram", "infinite_threshold_sweep",
+            "huge_clock_feasibility"])
     def test_edge_input_keeps_exit_contract(self, tmp_path, argv, code,
                                             stderr):
         # these once ended in a traceback: attack-hist with one gate after
         # writing its files, 1e-3 K in trap_lifetime's math.exp and 1e-322 K
         # in its division by k_B T; a non-UTF-8 config was reported as a
-        # numerical failure
+        # numerical failure. A subnormal gain floor makes threshold counts
+        # infinite, whose Poisson tail once read NaN; a 1e300 Hz clock once
+        # overflowed the feasibility chart's cell edges.
         (tmp_path / "latin1.ini").write_bytes(b"[detector]\nunit = \xb5s\n")
         out = tmp_path / "out"
         proc = run_child(["--out", out, "--trials", "20000",
@@ -635,16 +645,34 @@ def test_histogram_overrides_keep_exit_contract(tmp_path, values):
 
 _MODEL_KEYS = [f"{section}.{key}" for section in _REQUIRED_SECTIONS
                for key in _SCHEMA[section]]
+_COMMANDS = ["sweep", "histogram", "gate2", "contour", "feasibility",
+             "partial-attack", "attack-hist"]
+# each command and [scenario] key -> the commands that read it
+_SWEEP_READERS = ("sweep", "attack-hist", "partial-attack")
+_COMMAND_KEYS = {
+    **{f"sweep.{key}": _SWEEP_READERS for key in _SCHEMA["sweep"]},
+    "gate2.delay_points": ("gate2",),
+    **{f"contour.{key}": ("contour",) for key in _SCHEMA["contour"]},
+    **{f"feasibility.{key}": ("feasibility",)
+       for key in _SCHEMA["feasibility"]},
+    "feasibility.qber_threshold": ("sweep", "contour", "feasibility"),
+    "partial_attack.fraction_points": ("partial-attack",),
+    "scenario.flux_full": ("sweep", "attack-hist", "gate2", "partial-attack"),
+    "scenario.signal_flux": ("histogram", "feasibility", "partial-attack"),
+    "scenario.attack_flux": ("feasibility",),
+    "histogram.gates": ("histogram", "attack-hist"),
+}
+# each edge value plus the smallest subnormal, a subnormal whose reciprocal
+# overflows, and a huge value
+_NUMERIC_EDGES = [*_EDGES, "5e-324", "1e-320", "1e300"]
 
 
-@pytest.mark.parametrize("command", ["sweep", "histogram"])
-@pytest.mark.parametrize("key", _MODEL_KEYS)
-def test_model_overrides_keep_exit_contract(tmp_path, key, command):
-    # one override at a time, each edge value plus the smallest subnormal,
-    # a subnormal whose reciprocal overflows, and a huge value; a numpy
-    # warning counts as a line on stderr, as it would in a real run
+def _exit_contract_breaks(tmp_path, key, command, values) -> list[str]:
+    """The values of `key` that, set one at a time, break the exit contract
+    of `command`; a numpy warning counts as a line on stderr, as it would
+    in a real run."""
     broken = []
-    for raw in [*_EDGES, "5e-324", "1e-320", "1e300"]:
+    for raw in values:
         out = tmp_path / f"{raw or 'empty'}-{command}"
         err = StringIO()
         with warnings.catch_warnings(record=True) as caught, \
@@ -658,6 +686,23 @@ def test_model_overrides_keep_exit_contract(tmp_path, key, command):
                 or lines.count("\n") != (code != 0)
                 or "Traceback" in lines):
             broken.append(f"{raw!r}: exit {code}, stderr {lines!r}")
+    return broken
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("key", _MODEL_KEYS)
+def test_model_overrides_keep_exit_contract(tmp_path, key, command):
+    broken = _exit_contract_breaks(tmp_path, key, command, _NUMERIC_EDGES)
+    assert not broken, "\n".join(broken)
+
+
+# no value here asks for a large grid: a count never parses from "1e300"
+@pytest.mark.parametrize("key, command", [
+    (key, command) for key, commands in _COMMAND_KEYS.items()
+    for command in commands])
+def test_command_overrides_keep_exit_contract(tmp_path, key, command):
+    broken = _exit_contract_breaks(tmp_path, key, command,
+                                   [*_NUMERIC_EDGES, "-0", "1", "2"])
     assert not broken, "\n".join(broken)
 
 

@@ -5,6 +5,7 @@ Frozen reference values were evaluated independently at 30-digit precision
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,21 @@ class TestPoissonTail:
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError):
             poisson_tail(1, -0.5)
+
+    # a subnormal gain floor makes the threshold count infinite
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 5.0, 1e5])
+    def test_infinite_threshold_tail_is_positive_zero(self, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = float(poisson_tail(np.inf, lam))
+        assert out == 0.0 and math.copysign(1.0, out) == 1.0
+
+    def test_infinite_threshold_leaves_finite_rows_alone(self):
+        k = np.array([[1.0], [3.0], [np.inf]])
+        lam = np.array([0.0, 0.5, 1.0, 5.0, 1e5])
+        grid = poisson_tail(k, lam)
+        assert grid[:2].tolist() == poisson_tail(k[:2], lam).tolist()
+        assert grid[2].tolist() == [0.0] * lam.size
 
     def test_grid_equals_elementwise_evaluation(self):
         # first terms are tabulated once per distinct value, then scattered

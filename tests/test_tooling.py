@@ -29,11 +29,35 @@ def test_demo_runs_cleanly(tmp_path, demo):
     # a copy, so its out/ directory lands in tmp_path
     script = Path(shutil.copy(demo, tmp_path))
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
+    # a text read or write without an encoding fails too
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error", str(script)],
                           cwd=tmp_path, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+# what the commands compute: the analytic kernels and the grid builders
+_COMMAND_WORK = {"sweep_delay", "gate2_vs_delay", "contour_flux_delay",
+                 "feasibility_band", "partial_attack_rates", "noise_qber",
+                 "attack_histogram", "linspace", "geomspace"}
+COMMAND_DEMOS = [d for d in DEMOS if 4 <= int(d.name[:2]) <= 8]
+
+
+@pytest.mark.parametrize("demo", COMMAND_DEMOS,
+                         ids=[d.stem for d in COMMAND_DEMOS])
+def test_demo_prints_from_its_command_files(demo):
+    # demos 04-08 run their commands and read the files back; computing
+    # the result again in process, on a copy of a command's grid, would
+    # drift from the files written beside it
+    tree = ast.parse(demo.read_text(encoding="utf-8"))
+    used = {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used |= {node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not used & _COMMAND_WORK
 
 
 def _tracer():
