@@ -21,66 +21,57 @@ class NoSignalError(ValueError):
     """Both detection probabilities vanish; the QBER is undefined."""
 
 
-def _qber_array(p_f, p_h):
-    """Target-gate QBER (2 p_h - p_h^2) / (2 p_f + 2 (2 p_h - p_h^2));
-    NaN where both probabilities vanish."""
-    s = 2.0 * p_h - p_h * p_h
-    denom = 2.0 * p_f + 2.0 * s
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom > 0.0, s / denom, np.nan)
+def _unit(values, what: str = "probabilities") -> np.ndarray:
+    """values as a float array, checked to lie in [0, 1]; NaN does not."""
+    a = np.asarray(values, dtype=float)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError(f"{what} must lie in [0, 1]")
+    return a
 
 
-def _mean_delayed_array(p_dd_f, p_dd_h):
-    return 0.25 * p_dd_f + 0.5 * p_dd_h
+# Each QBER formula broadcasts over arrays of probabilities. Like
+# binary_entropy, it gives a float for scalar input and an array otherwise;
+# a no-signal cell is NaN in an array and NoSignalError as a scalar.
 
-
-def _qber_with_dd_array(p_f, p_h, p_bar):
-    return _qber_array(np.minimum(p_f + p_bar, 1.0),
-                       np.minimum(p_h + p_bar, 1.0))
-
-
-def _probabilities(*probs) -> np.ndarray:
-    arr = np.array(probs, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return arr
-
-
-def _defined(q) -> float:
-    if np.isnan(q):
-        raise NoSignalError("no detections at either power: QBER undefined")
-    return float(q)
-
-
-def qber_target(p_f: float, p_h: float) -> float:
+def qber_target(p_f, p_h):
     """QBER seen at the target gate for full/half click probabilities.
 
     A mismatched basis splits the pulse into both of Bob's detectors at half
     power; either may click (union 2*p_h - p_h**2) and the resulting bit is
     random. Returns (2 p_h - p_h^2) / (2 p_f + 2 (2 p_h - p_h^2)).
     """
-    return _defined(_qber_array(*_probabilities(p_f, p_h)))
+    p_f, p_h = _unit(p_f), _unit(p_h)
+    s = 2.0 * p_h - p_h * p_h
+    denom = 2.0 * p_f + 2.0 * s
+    with np.errstate(invalid="ignore", divide="ignore"):
+        q = np.where(denom > 0.0, s / denom, np.nan)
+    if q.ndim:
+        return q
+    if np.isnan(q):
+        raise NoSignalError("no detections at either power: QBER undefined")
+    return float(q)
 
 
-def mean_delayed(p_dd_f: float, p_dd_h: float) -> float:
+def mean_delayed(p_dd_f, p_dd_h):
     """Average per-gate probability of a one-gate-delayed detection.
 
     Weights 1/4 and 1/2 come from the basis bookkeeping: a matched basis
     produced the delayed carriers with the full pulse in one detector, a
     mismatched basis with half pulses in both.
     """
-    return float(_mean_delayed_array(*_probabilities(p_dd_f, p_dd_h)))
+    m = 0.25 * _unit(p_dd_f) + 0.5 * _unit(p_dd_h)
+    return float(m) if m.ndim == 0 else m
 
 
-def qber_with_dd(p_f: float, p_h: float, p_dd_f: float, p_dd_h: float) -> float:
+def qber_with_dd(p_f, p_h, p_dd_f, p_dd_h):
     """Target-gate QBER corrected for delayed detection.
 
     The mean delayed probability is added to both detection probabilities
     (clamped at 1) before applying the target-gate formula.
     """
-    p_f, p_h, p_dd_f, p_dd_h = _probabilities(p_f, p_h, p_dd_f, p_dd_h)
-    return _defined(_qber_with_dd_array(p_f, p_h,
-                                        _mean_delayed_array(p_dd_f, p_dd_h)))
+    p_bar = mean_delayed(p_dd_f, p_dd_h)
+    return qber_target(np.minimum(_unit(p_f) + p_bar, 1.0),
+                       np.minimum(_unit(p_h) + p_bar, 1.0))
 
 
 def _grid(values, name: str) -> np.ndarray:
@@ -105,9 +96,8 @@ def _sweep_arrays(det: DetectorParams, flux: float, delays, env: Environment):
     fluxes = np.array([flux, flux / 2.0]).reshape((2,) + (1,) * np.ndim(delays))
     p_f, p_h = click_probability_array(det, fluxes, delays)
     p_ddf, p_ddh = delayed_click_probability_arrays(det, fluxes, delays, env)
-    p_bar = _mean_delayed_array(p_ddf, p_ddh)
-    return (p_f, p_h, p_ddf, p_ddh, p_bar, _qber_array(p_f, p_h),
-            _qber_with_dd_array(p_f, p_h, p_bar))
+    return (p_f, p_h, p_ddf, p_ddh, mean_delayed(p_ddf, p_ddh),
+            qber_target(p_f, p_h), qber_with_dd(p_f, p_h, p_ddf, p_ddh))
 
 
 def sweep_delay(det: DetectorParams, flux: float, delays,
@@ -163,7 +153,7 @@ def contour_flux_delay(det: DetectorParams, fluxes, delays) -> np.ndarray:
     if np.any(f <= 0):
         raise ValueError("flux grid must be positive")
     d = _delay_grid(det, delays)
-    return _qber_array(click_probability_array(det, f[:, None], d),
+    return qber_target(click_probability_array(det, f[:, None], d),
                        click_probability_array(det, f[:, None] / 2.0, d))
 
 
@@ -176,9 +166,7 @@ def sub_threshold_region(qber_matrix: np.ndarray,
 
 def binary_entropy(q) -> float:
     """Binary entropy in bits, with 0 log 0 = 0."""
-    arr = np.asarray(q, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):
-        raise ValueError("binary_entropy domain is [0, 1]")
+    arr = _unit(q, "binary_entropy's argument")
     log_q = np.log2(arr, out=np.zeros_like(arr), where=arr > 0)
     log_p = np.log2(1 - arr, out=np.zeros_like(arr), where=arr < 1)
     # the logs are 0 where their argument is, so 0 log 0 gives +0.0
@@ -206,9 +194,7 @@ def partial_attack_rates(q_attack: float, q_baseline: float,
     """
     r_attack = key_rate(q_attack)
     r_base = key_rate(q_baseline)
-    f = _grid(fractions, "fraction")
-    if not np.all((f >= 0.0) & (f <= 1.0)):
-        raise ValueError("attacked fractions must lie in [0, 1]")
+    f = _unit(_grid(fractions, "fraction"), "attacked fractions")
     return np.rec.fromarrays(
         [f, f * r_attack + (1.0 - f) * r_base, np.full(f.shape, r_attack)],
         names="fraction,combined_rate,full_attack_rate")

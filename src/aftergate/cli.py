@@ -175,10 +175,12 @@ def cmd_gate2(cfg: RunConfig, args, out: Path) -> None:
                    {"adjacent-gate probability": points.probability},
                    "adjacent-gate detection vs delay", "delay (ps)",
                    "probability")
-    i = int(np.argmin(points.probability))
-    print(f"adjacent-gate curve: min {points.probability[i]:.5f} at "
-          f"{points.delay[i]:.1f} ps, interior minimum: "
-          f"{0 < i < len(points) - 1}")
+    p = points.probability
+    i = int(np.argmin(p))
+    # a plateau at an end value is no interior minimum, wherever argmin
+    # lands on it
+    print(f"adjacent-gate curve: min {p[i]:.5f} at {points.delay[i]:.1f} ps, "
+          f"interior minimum: {p[i] < p[0] and p[i] < p[-1]}")
 
 
 def cmd_contour(cfg: RunConfig, args, out: Path) -> None:

@@ -164,13 +164,19 @@ def _apply_overrides(values: dict, overrides) -> None:
         values.setdefault(section, {})[key] = _cast(section, key, raw)
 
 
-def _build(cls, sec: dict, **fixed):
-    """cls from the keys present in sec plus `fixed`; an absent key takes
-    the field's default, and an absent field without one is a KeyError."""
+def _build(values: dict, section: str, cls, **fixed):
+    """cls from the keys of `section` that name its fields, plus `fixed`;
+    an absent key takes the field's default. A missing key, or a value cls
+    rejects, is a ConfigError naming section.key."""
+    sec = values[section]
     for f in fields(cls):
         if f.default is MISSING and f.name not in sec and f.name not in fixed:
-            raise KeyError(f.name)
-    return cls(**fixed, **sec)
+            raise ConfigError(f"missing config key: {section}.{f.name}")
+    try:
+        return cls(**fixed, **{f.name: sec[f.name] for f in fields(cls)
+                               if f.name in sec})
+    except ValueError as exc:  # the message opens with the field it blames
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def load_config(path: str | Path | None = None,
@@ -200,25 +206,13 @@ def load_config(path: str | Path | None = None,
     if not math.isfinite(1.0e12 / lo):  # GateTiming's gate_period rule
         raise ConfigError("feasibility.freq_min is too small for a finite "
                           "gate period")
-    det_sec = dict(values["detector"])
-    try:
-        timing = GateTiming(gating_frequency=det_sec.pop("gating_frequency"),
-                            gate_width=det_sec.pop("gate_width"))
-    except KeyError as exc:
-        raise ConfigError(f"missing config key: {exc}") from exc
-    except ValueError as exc:  # the message opens with the key it blames
-        raise ConfigError(f"detector.{exc}") from exc
-    try:
-        detector = _build(
-            DetectorParams, det_sec, timing=timing,
-            interface_trap=_build(TrapSpecies, values["traps.interface"]),
-            multiplication_trap=_build(TrapSpecies,
-                                       values["traps.multiplication"]))
-        environment = _build(Environment, values["environment"])
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, KeyError):
-            raise ConfigError(f"missing config key: {exc}") from exc
-        raise ConfigError(str(exc)) from exc
+    timing = _build(values, "detector", GateTiming)
+    detector = _build(
+        values, "detector", DetectorParams, timing=timing,
+        interface_trap=_build(values, "traps.interface", TrapSpecies),
+        multiplication_trap=_build(values, "traps.multiplication",
+                                   TrapSpecies))
+    environment = _build(values, "environment", Environment)
     delay = values["histogram"]["pulse_delay"]
     try:
         timing.delays(delay)

@@ -181,10 +181,10 @@ class DetectorParams:
             raise ValueError("trigger_peak must lie in (0, 1]")
         if not (0.0 < self.gain_floor <= 1.0):
             raise ValueError("gain_floor must lie in (0, 1]")
-        for frac in (self.trigger_flat_fraction, self.gain_flat_fraction,
-                     self.gain_edge_fraction):
-            if not (0.0 < frac <= 1.0):
-                raise ValueError("profile fractions must lie in (0, 1]")
+        for name in ("trigger_flat_fraction", "gain_flat_fraction",
+                     "gain_edge_fraction"):
+            if not (0.0 < getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in (0, 1]")
         for slot in CAPTURE_PARAMS:
             species = getattr(self, slot)
             for other, names in CAPTURE_PARAMS.items():

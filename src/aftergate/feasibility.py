@@ -54,6 +54,11 @@ def noise_qber(det: DetectorParams, env: Environment, signal_flux: float):
     afterpulse background. Only the interface species is counted, which is
     the conservative choice for this criterion. An array of clocks
     (rescale_detector) gives one QBER per clock.
+
+    QBER = (p_dd / 2 + p_other / 2) / (p_sig + p_dd + p_other), where p_sig
+    is click_probability_array at delay 0, which already counts a dark
+    count as a (correct) click, and p_other adds dark_count_prob again plus
+    the afterpulse background of p_sig: a dark count enters twice.
     """
     if signal_flux <= 0:
         raise ValueError("signal_flux must be > 0")

@@ -11,7 +11,7 @@ from aftergate import (NoSignalError, attack_histogram, binary_entropy,
                        contour_flux_delay, gate2_vs_delay, key_rate,
                        mean_delayed, partial_attack_rates, qber_target,
                        qber_with_dd, sweep_delay)
-from aftergate.attack import _qber_array, sub_threshold_region
+from aftergate.attack import sub_threshold_region
 from aftergate.detector import click_probability_array
 from aftergate.feasibility import feasibility_band
 
@@ -90,6 +90,67 @@ class TestQberWithDd:
                 q0 = qber_target(1.0, p_h)
                 q1 = qber_with_dd(1.0, p_h, p_dd, p_dd)
                 assert q1 >= q0 - 1e-12
+
+
+class TestFormulaGrids:
+    """Each formula on a grid equals its scalar call in every cell."""
+
+    @staticmethod
+    def grids(seed):
+        # (4, 7, 5) grids with exact zeros and ones sprinkled in
+        rng = np.random.default_rng(seed)
+        p = rng.random((4, 7, 5))
+        p[rng.random(p.shape) < 0.5] = 0.0
+        p[rng.random(p.shape) < 0.1] = 1.0
+        return p
+
+    @staticmethod
+    def scalar_or_nan(formula, *args):
+        try:
+            return formula(*args)
+        except NoSignalError:
+            return math.nan
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("formula", [qber_target, mean_delayed,
+                                         qber_with_dd])
+    def test_each_cell_equals_scalar_call(self, formula, seed):
+        p_f, p_h, p_dd_f, p_dd_h = self.grids(seed)
+        args = {qber_target: (p_f, p_h), mean_delayed: (p_dd_f, p_dd_h),
+                qber_with_dd: (p_f, p_h, p_dd_f, p_dd_h)}[formula]
+        grid = formula(*args)
+        assert isinstance(grid, np.ndarray) and grid.shape == p_f.shape
+        cells = [self.scalar_or_nan(formula, *(float(a[i]) for a in args))
+                 for i in np.ndindex(p_f.shape)]
+        assert all(type(c) is float for c in cells)
+        expected = np.array(cells).reshape(p_f.shape)
+        assert np.array_equal(grid.view(np.int64), expected.view(np.int64))
+        zero = np.logical_and.reduce([a == 0.0 for a in args])
+        nan = zero if formula is not mean_delayed else np.zeros_like(zero)
+        assert np.array_equal(np.isnan(grid), nan)
+
+    @pytest.mark.parametrize("bad", [-1e-12, 1.0000000000000002, 1.2,
+                                     math.nan, math.inf])
+    @pytest.mark.parametrize("position", range(4))
+    def test_any_cell_out_of_range_raises(self, bad, position):
+        args = list(self.grids(0))
+        args[position] = args[position].copy()
+        args[position][3, 1] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            qber_with_dd(*args)
+        if position < 2:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                qber_target(*args[:2])
+        else:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                mean_delayed(*args[2:])
+
+    def test_scalar_calls_return_floats(self):
+        assert type(qber_target(np.float64(1.0), 0.1)) is float
+        assert type(mean_delayed(0.2, np.array(0.1))) is float
+        assert type(qber_with_dd(1.0, 0.1, 0.15, 0.15)) is float
+        with pytest.raises(NoSignalError):
+            qber_with_dd(0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +339,7 @@ class TestContour:
 
     def test_grid_equals_row_by_row_evaluation(self, det, grids, matrix):
         fluxes, delays = grids
-        rows = [_qber_array(click_probability_array(det, mu, delays),
+        rows = [qber_target(click_probability_array(det, mu, delays),
                             click_probability_array(det, mu / 2.0, delays))
                 for mu in fluxes]
         np.testing.assert_array_equal(matrix, np.array(rows))

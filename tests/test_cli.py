@@ -238,6 +238,19 @@ class TestOtherCommands:
         assert rows[0] == "delay_ps,probability"
         assert len(rows) == 301
 
+    @pytest.mark.parametrize("argv, interior", [
+        ([], "True"),
+        # without interface trapping the curve falls to a plateau
+        (["--set", "traps.interface.capture_fraction_photo=0"], "False"),
+    ], ids=["both_species", "multiplication_only"])
+    def test_gate2_interior_minimum(self, tmp_path, capsys, argv, interior):
+        assert main(["--out", str(tmp_path), *argv, "gate2"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(f"interior minimum: {interior}\n")
+        p = np.array([float(r.split(",")[1]) for r in
+                      (tmp_path / "gate2.csv").read_text().splitlines()[1:]])
+        assert (p.min() < min(p[0], p[-1])) == (interior == "True")
+
     def test_contour_grid_complete(self, tmp_path):
         assert run(tmp_path, "contour") == 0
         rows = (tmp_path / "contour.csv").read_text().splitlines()
@@ -414,6 +427,18 @@ class TestErrorPaths:
         *(("feasibility.freq_min",
            ["--set", f"feasibility.freq_min={lo}", "feasibility"])
           for lo in ("1e-300", "1e-320", "5e-324")),
+        # the model objects' own range checks name their section
+        ("traps.multiplication.lifetime_prefactor",
+         ["--set", "traps.multiplication.lifetime_prefactor=0", "sweep"]),
+        ("traps.interface.activation_energy",
+         ["--set", "traps.interface.activation_energy=-1", "gate2"]),
+        ("detector.detection_efficiency",
+         ["--set", "detector.detection_efficiency=2", "sweep"]),
+        ("detector.gain_floor", ["--set", "detector.gain_floor=0", "contour"]),
+        ("detector.trigger_flat_fraction",
+         ["--set", "detector.trigger_flat_fraction=0", "gate2"]),
+        ("environment.temperature",
+         ["--set", "environment.temperature=-5", "histogram"]),
     ])
     def test_count_and_seed_out_of_range_is_config_error(self, tmp_path,
                                                          capsys, key, argv):
@@ -667,25 +692,34 @@ _COMMAND_KEYS = {
 _NUMERIC_EDGES = [*_EDGES, "5e-324", "1e-320", "1e300"]
 
 
+def _contract_break(out, argv) -> str | None:
+    """How main(["--out", out, *argv]) breaks the exit contract, or None
+    if it keeps it; a numpy warning counts as a line on stderr, as it would
+    in a real run."""
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            redirect_stdout(StringIO()), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["--out", str(out), *argv])
+    lines = err.getvalue() + "".join(f"{w.category.__name__}: "
+                                     f"{w.message}\n" for w in caught)
+    if (code not in (0, 1, 2) or out.exists() != (code == 0)
+            or lines.count("\n") != (code != 0) or "Traceback" in lines):
+        return f"exit {code}, stderr {lines!r}"
+    return None
+
+
 def _exit_contract_breaks(tmp_path, key, command, values) -> list[str]:
     """The values of `key` that, set one at a time, break the exit contract
-    of `command`; a numpy warning counts as a line on stderr, as it would
-    in a real run."""
+    of `command`. Trials default to 20000; a run.trials value overrides
+    that."""
     broken = []
     for raw in values:
-        out = tmp_path / f"{raw or 'empty'}-{command}"
-        err = StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                redirect_stdout(StringIO()), redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["--out", str(out), "--trials", "20000",
-                         "--set", f"{key}={raw}", command])
-        lines = err.getvalue() + "".join(f"{w.category.__name__}: "
-                                         f"{w.message}\n" for w in caught)
-        if (code not in (0, 1, 2) or out.exists() != (code == 0)
-                or lines.count("\n") != (code != 0)
-                or "Traceback" in lines):
-            broken.append(f"{raw!r}: exit {code}, stderr {lines!r}")
+        why = _contract_break(tmp_path / f"{raw or 'empty'}-{command}",
+                              ["--set", "run.trials=20000",
+                               "--set", f"{key}={raw}", command])
+        if why:
+            broken.append(f"{raw!r}: {why}")
     return broken
 
 
@@ -694,6 +728,34 @@ def _exit_contract_breaks(tmp_path, key, command, values) -> list[str]:
 def test_model_overrides_keep_exit_contract(tmp_path, key, command):
     broken = _exit_contract_breaks(tmp_path, key, command, _NUMERIC_EDGES)
     assert not broken, "\n".join(broken)
+
+
+# the [run] keys through every computing command that ignores them
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c != "histogram"])
+@pytest.mark.parametrize("key", ["run.seed", "run.trials", "run.workers"])
+def test_run_overrides_keep_exit_contract(tmp_path, key, command):
+    broken = _exit_contract_breaks(tmp_path, key, command,
+                                   _HISTOGRAM_KEYS[key])
+    assert not broken, "\n".join(broken)
+
+
+# the histogram's pulse timing and window beside one model key; a window
+# stays at most 2000 gates and a run at 20000 trials
+@given(st.fixed_dictionaries({
+    key: st.none() | st.sampled_from(_HISTOGRAM_KEYS[key])
+    for key in ("histogram.pulse_delay", "histogram.dead_time",
+                "histogram.gates")}),
+       st.sampled_from(_MODEL_KEYS), st.sampled_from(_NUMERIC_EDGES))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_histogram_timing_with_model_key_keeps_exit_contract(tmp_path,
+                                                             timing, key,
+                                                             raw):
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+    sets = {**{k: v for k, v in timing.items() if v is not None}, key: raw}
+    argv = [arg for k, v in sets.items() for arg in ("--set", f"{k}={v}")]
+    why = _contract_break(out, ["--trials", "20000", *argv, "histogram"])
+    assert why is None, f"{sets}: {why}"
 
 
 # no value here asks for a large grid: a count never parses from "1e300"

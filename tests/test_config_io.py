@@ -101,7 +101,8 @@ class TestConfig:
         path = tmp_path / "run.ini"
         path.write_text(MINIMAL.replace("detection_efficiency = 0.3\n", ""))
         with pytest.raises(ConfigError,
-                           match="^missing config key: 'detection_efficiency'$"):
+                           match=r"^missing config key: "
+                                 r"detector\.detection_efficiency$"):
             load_config(path)
 
     def test_attacked_fraction_is_unknown(self, tmp_path):

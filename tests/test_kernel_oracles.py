@@ -3,9 +3,10 @@
 The attack sweep once ran the kernel stack once per power, and the Poisson
 tail once called lgamma on every cell of the broadcast grid. Both are kept
 verbatim below as oracles, as is the flux x delay contour's pair of
-whole-grid passes, which any blocked or fused contour must still match. The
-current kernels must reproduce them to the last bit, compared as int64 bit
-patterns.
+whole-grid passes, which any blocked or fused contour must still match, and
+the private array twins the three QBER formulas once had beside their
+scalar wrappers. The current kernels must reproduce them to the last bit,
+compared as int64 bit patterns.
 """
 
 import math
@@ -16,13 +17,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aftergate import Environment
-from aftergate.attack import (_delay_grid, _grid, _mean_delayed_array,
-                              _qber_array, _qber_with_dd_array,
-                              _sweep_arrays, contour_flux_delay)
+from aftergate.attack import (_delay_grid, _grid, _sweep_arrays,
+                              contour_flux_delay, mean_delayed, qber_target,
+                              qber_with_dd)
 from aftergate.detector import (_series, click_probability_array,
                                 delayed_click_probability_arrays,
                                 poisson_tail)
 from aftergate.feasibility import rescale_detector
+
+
+def _qber_array(p_f, p_h):
+    """Target-gate QBER (2 p_h - p_h^2) / (2 p_f + 2 (2 p_h - p_h^2));
+    NaN where both probabilities vanish."""
+    s = 2.0 * p_h - p_h * p_h
+    denom = 2.0 * p_f + 2.0 * s
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0.0, s / denom, np.nan)
+
+
+def _mean_delayed_array(p_dd_f, p_dd_h):
+    return 0.25 * p_dd_f + 0.5 * p_dd_h
+
+
+def _qber_with_dd_array(p_f, p_h, p_bar):
+    return _qber_array(np.minimum(p_f + p_bar, 1.0),
+                       np.minimum(p_h + p_bar, 1.0))
 
 
 def oracle_sweep_arrays(det, flux, delays, env):
@@ -135,6 +154,25 @@ class TestSweepArrays:
                                                      env),
                                  strict=True):
             assert_same_bits(got, expected)
+
+
+# probabilities with exact 0 and 1 likely, so no-signal cells and the
+# clamp at 1 both occur
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]),
+                         st.floats(0.0, 1.0))
+
+
+class TestQberFormulas:
+    @given(st.lists(st.tuples(*[_PROBABILITY] * 4), min_size=1,
+                    max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_grids_match_array_oracles(self, cells):
+        p_f, p_h, p_ddf, p_ddh = np.array(cells).T
+        p_bar = _mean_delayed_array(p_ddf, p_ddh)
+        assert_same_bits(qber_target(p_f, p_h), _qber_array(p_f, p_h))
+        assert_same_bits(mean_delayed(p_ddf, p_ddh), p_bar)
+        assert_same_bits(qber_with_dd(p_f, p_h, p_ddf, p_ddh),
+                         _qber_with_dd_array(p_f, p_h, p_bar))
 
 
 @st.composite

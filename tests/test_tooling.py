@@ -38,6 +38,18 @@ def test_demo_runs_cleanly(tmp_path, demo):
     assert proc.stderr == ""
 
 
+PY_FILES = sorted(path for top in ("src", "tests", "demos", "bench")
+                  for path in (ROOT / top).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY_FILES,
+                         ids=[str(p.relative_to(ROOT)) for p in PY_FILES])
+def test_parses_as_python_3_10(path):
+    # requires-python says 3.10: no grammar from a later release
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=(3, 10))
+
+
 # what the commands compute: the analytic kernels and the grid builders
 _COMMAND_WORK = {"sweep_delay", "gate2_vs_delay", "contour_flux_delay",
                  "feasibility_band", "partial_attack_rates", "noise_qber",
