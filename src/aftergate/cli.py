@@ -4,11 +4,15 @@ One configuration file drives each run; individual keys can be overridden
 with --set section.key=value. Every command writes CSV (and JSON where a
 verdict is involved) plus a simple SVG rendering into the output directory.
 Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+`entry` is the process entry (the `aftergate` script and `python -m
+aftergate.cli`); `main` is for in-process callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -293,5 +297,26 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry(argv=None) -> int:
+    """main(argv) as a whole process: stdout is flushed under main's OSError
+    rule, then every object is frozen, so the interpreter's shutdown
+    collections skip the heap that numpy and the package leave tracked."""
+    code = main(argv)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            # the interpreter's own final flush would fail again, past the
+            # exit code; a run that failed has reported its one line
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if code == 0:
+                print(f"config error: {exc}", file=sys.stderr)
+                code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

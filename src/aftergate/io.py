@@ -5,8 +5,6 @@ Formats are stable: identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from pathlib import Path
 
@@ -120,6 +118,7 @@ def write_feasibility_csv(path, band) -> None:
 def read_arrhenius_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """(temperatures, lifetimes) from the temperature_k and lifetime_ps
     columns; any other column is ignored."""
+    import csv  # here: only `arrhenius` reads CSV
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         required = {"temperature_k", "lifetime_ps"}
@@ -133,6 +132,8 @@ def read_arrhenius_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_json(path, payload: dict) -> None:
     """JSON with numpy scalars as Python values and NaN or +-inf as null."""
+    import json  # here: most commands write no JSON
+
     def clean(obj):
         if isinstance(obj, dict):
             return {k: clean(v) for k, v in obj.items()}

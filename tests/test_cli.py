@@ -1,10 +1,13 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import ast
 import configparser
 import csv
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -768,7 +771,8 @@ def test_command_overrides_keep_exit_contract(tmp_path, key, command):
     assert not broken, "\n".join(broken)
 
 
-@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "logging"])
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "logging",
+                                    "csv", "json"])
 def test_import_does_not_load(module):
     code = ("import sys, aftergate, aftergate.cli; "
             "print(sorted(m for m in sys.modules "
@@ -839,3 +843,96 @@ def test_contour_loads_no_numpy_ma(tmp_path):
                          capture_output=True, text=True, env=child_env())
     before, after = out.stdout.split()[-2:]
     assert after == before
+
+
+def run_entry(argv, env=None):
+    """`python -m aftergate.cli argv` as a started child process."""
+    return subprocess.Popen([sys.executable, "-m", "aftergate.cli",
+                             *map(str, argv)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            env=env or child_env())
+
+
+def _files(out: Path) -> dict:
+    return ({p.name: p.read_bytes() for p in out.iterdir()} if out.exists()
+            else {})
+
+
+# a success, and the config error and numerical failure of TestErrorPaths
+@pytest.mark.parametrize("argv", [
+    [*FAST, "sweep"],
+    ["--set", "detector.bogus=1", "sweep"],
+    ["--set", "sweep.delay_max=5000", "sweep"],
+], ids=["ok", "config_error", "numerical_failure"])
+def test_process_entry_matches_main(tmp_path, argv):
+    ref = run_child(["--out", tmp_path / "main", *argv])
+    proc = run_entry(["--out", tmp_path / "entry", *argv])
+    stdout, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stdout, stderr) == (ref.returncode, ref.stdout,
+                                                 ref.stderr)
+    assert _files(tmp_path / "entry") == _files(tmp_path / "main")
+
+
+def _stdout_env(unbuffered: bool) -> dict:
+    """child_env() with stdout block-buffered on a pipe, or unbuffered."""
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_one_line_config_error(tmp_path, unbuffered):
+    # buffered, the print fails at the entry's flush; unbuffered, inside
+    # main. Either way the interpreter's own final flush must stay silent.
+    proc = run_entry(["--out", tmp_path, *FAST, "sweep"],
+                     env=_stdout_env(unbuffered))
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (
+        1, "config error: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_failed_run_with_closed_stdout_keeps_one_line(tmp_path):
+    # feasibility buffers its first band's line, then fails to write the
+    # second band: the entry's failed flush adds no line to the run's own
+    (tmp_path / "feasibility_223.15K.csv").mkdir()
+    proc = run_entry(["--out", tmp_path, *FAST, "feasibility"],
+                     env=_stdout_env(unbuffered=False))
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr.startswith("config error: [Errno 21] Is a directory")
+    assert stderr.count("\n") == 1
+
+
+def test_no_stdout_runs_silently(tmp_path):
+    # started with fd 1 closed, sys.stdout is None and print() drops its text
+    proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable,
+                           "-m", "aftergate.cli", "--out", str(tmp_path),
+                           *FAST, "sweep"], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_main_freezes_no_object(tmp_path):
+    # only the process entry freezes the heap, never an in-process caller
+    frozen = gc.get_freeze_count()
+    assert run(tmp_path, "sweep") == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_script_and_main_block_share_the_entry():
+    toml = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    # a regex, not tomllib, which Python 3.10 lacks
+    script, = re.findall(r'^aftergate\s*=\s*"aftergate\.cli:(\w+)"\s*$',
+                         toml, re.MULTILINE)
+    cli = Path(aftergate.__file__).with_name("cli.py")
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = {node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called - {"SystemExit"} == {script}
