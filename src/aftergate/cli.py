@@ -11,9 +11,11 @@ aftergate.cli`); `main` is for in-process callers.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -297,9 +299,28 @@ def main(argv=None) -> int:
     return 0
 
 
+def _exit_is_watched() -> bool:
+    """Whether anything observes the interpreter's own exit: development
+    mode's teardown warnings, a tracer or profiler that reports at exit
+    (coverage, trace, cProfile), a thread the interpreter would wait for,
+    the prompt of -i, or an interpreter without atexit._run_exitfuncs."""
+    # from 3.12 cProfile and coverage may use sys.monitoring instead
+    monitoring = getattr(sys, "monitoring", None)
+    return bool(sys.flags.dev_mode or sys.flags.inspect
+                or sys.gettrace() is not None or sys.getprofile() is not None
+                or (monitoring is not None
+                    and any(monitoring.get_tool(i) is not None
+                            for i in range(6)))
+                or threading.active_count() > 1
+                or not hasattr(atexit, "_run_exitfuncs"))
+
+
 def entry(argv=None) -> int:
     """main(argv) as a whole process: stdout is flushed under main's OSError
-    rule, then every object is frozen, so the interpreter's shutdown
+    rule and every object is frozen. Unless something watches the
+    interpreter's exit, the atexit handlers then run, stdout and stderr are
+    flushed and the process ends with the exit code, without finalization.
+    Otherwise the code is returned, and the interpreter's shutdown
     collections skip the heap that numpy and the package leave tracked."""
     code = main(argv)
     if sys.stdout is not None:
@@ -315,7 +336,17 @@ def entry(argv=None) -> int:
                 print(f"config error: {exc}", file=sys.stderr)
                 code = 1
     gc.freeze()
-    return code
+    if _exit_is_watched():
+        return code
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                # the run's own output was flushed under the contract above
+                pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ import configparser
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
 
 from .detector import (CAPTURE_PARAMS, DetectorParams, Environment,
                        GateTiming, TrapSpecies)
@@ -51,11 +50,11 @@ def _temperatures(raw: str) -> list[float]:
 
 def _model_keys(*classes, skip=()) -> dict:
     """key -> caster for the float and int fields of model dataclasses,
-    leaving out the names in skip."""
-    casters = {float: _float, int: int}
-    return {name: casters[hint] for cls in classes
-            for name, hint in get_type_hints(cls).items()
-            if hint in casters and name not in skip}
+    leaving out the names in skip. Under `from __future__ import
+    annotations` a field's type is its annotation string."""
+    casters = {"float": _float, "int": int}
+    return {f.name: casters[f.type] for cls in classes for f in fields(cls)
+            if f.type in casters and f.name not in skip}
 
 
 # section -> key -> caster; a caster raises ValueError on a bad value

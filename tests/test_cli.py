@@ -845,12 +845,13 @@ def test_contour_loads_no_numpy_ma(tmp_path):
     assert after == before
 
 
-def run_entry(argv, env=None):
-    """`python -m aftergate.cli argv` as a started child process."""
-    return subprocess.Popen([sys.executable, "-m", "aftergate.cli",
-                             *map(str, argv)], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True,
-                            env=env or child_env())
+def run_entry(argv, env=None, python_flags=()):
+    """`python python_flags -m aftergate.cli argv` as a started child
+    process."""
+    return subprocess.Popen([sys.executable, *python_flags, "-m",
+                             "aftergate.cli", *map(str, argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, env=env or child_env())
 
 
 def _files(out: Path) -> dict:
@@ -864,9 +865,14 @@ def _files(out: Path) -> dict:
     ["--set", "detector.bogus=1", "sweep"],
     ["--set", "sweep.delay_max=5000", "sweep"],
 ], ids=["ok", "config_error", "numerical_failure"])
-def test_process_entry_matches_main(tmp_path, argv):
+# without -X dev the entry ends the process itself; under it, the
+# interpreter finalizes as usual
+@pytest.mark.parametrize("python_flags", [(), ("-X", "dev")],
+                         ids=["fast_exit", "dev_mode"])
+def test_process_entry_matches_main(tmp_path, argv, python_flags):
     ref = run_child(["--out", tmp_path / "main", *argv])
-    proc = run_entry(["--out", tmp_path / "entry", *argv])
+    proc = run_entry(["--out", tmp_path / "entry", *argv],
+                     python_flags=python_flags)
     stdout, stderr = proc.communicate(timeout=60)
     assert (proc.returncode, stdout, stderr) == (ref.returncode, ref.stdout,
                                                  ref.stderr)
@@ -936,3 +942,96 @@ def test_script_and_main_block_share_the_entry():
     called = {node.func.id for node in ast.walk(block)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert called - {"SystemExit"} == {script}
+
+
+def run_wrapped(code, argv, python_flags=()):
+    """`code`, then sys.exit(entry(argv)), in a fresh `python -c`."""
+    code += ("from aftergate.cli import entry\n"
+             f"sys.exit(entry({[str(a) for a in argv]!r}))\n")
+    return subprocess.run([sys.executable, *python_flags, "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=child_env())
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([*FAST, "sweep"], 0),
+    (["--set", "sweep.delay_max=5000", "sweep"], 2),
+], ids=["ok", "numerical_failure"])
+def test_fast_exit_runs_atexit_handlers(tmp_path, argv, code):
+    marker = tmp_path / "atexit"
+    proc = run_wrapped("import atexit, sys\n"
+                       f"atexit.register(open, {str(marker)!r}, 'w')\n",
+                       ["--out", tmp_path / "out", *argv])
+    assert proc.returncode == code
+    assert marker.exists()
+
+
+# finalization clears the dicts of the modules still alive, so the object
+# that only this module holds is deleted then, and says so on stderr
+_FINALIZER = ("import os, sys, types\n"
+              "class Finalized:\n"
+              "    def __del__(self, write=os.write):\n"
+              "        write(2, b'finalized\\n')\n"
+              "keeper = sys.modules['keeper'] = types.ModuleType('keeper')\n"
+              "keeper.kept = Finalized()\n")
+
+
+@pytest.mark.parametrize("python_flags, stderr", [
+    ((), ""), (("-X", "dev"), "finalized\n"),
+], ids=["fast_exit", "dev_mode"])
+def test_only_unwatched_exit_skips_finalization(tmp_path, python_flags,
+                                                stderr):
+    proc = run_wrapped(_FINALIZER, ["--out", tmp_path, *FAST, "sweep"],
+                       python_flags=python_flags)
+    assert (proc.returncode, proc.stderr) == (0, stderr)
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_live_thread_finishes_before_exit(tmp_path):
+    # the interpreter waits for a non-daemon thread, so the entry returns
+    marker = tmp_path / "thread"
+    proc = run_wrapped("import sys, threading, time\n"
+                       "def late():\n"
+                       "    time.sleep(1)\n"
+                       f"    open({str(marker)!r}, 'w').close()\n"
+                       "threading.Thread(target=late).start()\n",
+                       ["--out", tmp_path / "out", *FAST, "sweep"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert marker.exists()
+
+
+def test_profiled_entry_prints_its_report(tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m",
+                           "aftergate.cli", "--out", str(tmp_path), *FAST,
+                           "sweep"], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "function calls" in proc.stdout
+    assert (tmp_path / "sweep.csv").exists()
+
+
+def test_inspect_flag_reaches_its_prompt(tmp_path):
+    # under -i the interpreter reads more input after the entry's exit
+    proc = subprocess.run([sys.executable, "-i", "-m", "aftergate.cli",
+                           "--out", str(tmp_path), *FAST, "sweep"],
+                          input="print('prompted')\n", capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert "prompted" in proc.stdout
+
+
+# the fast exit closes nothing, so no command may leave a descriptor open
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("command", ["histogram", "arrhenius", "sweep",
+                                     "attack-hist", "gate2", "contour",
+                                     "partial-attack", "feasibility"])
+def test_command_leaves_no_descriptor_open(tmp_path, command):
+    args = [command]
+    if command == "arrhenius":
+        pts = tmp_path / "pts.csv"
+        pts.write_text("temperature_k,lifetime_ps\n223.15,900.5\n"
+                       "258.15,610.25\n293.15,480.0\n")
+        args += ["--input", str(pts)]
+    before = set(os.listdir("/proc/self/fd"))
+    assert run(tmp_path / "out", *args) == 0
+    assert set(os.listdir("/proc/self/fd")) == before

@@ -18,7 +18,7 @@ from aftergate import (ConfigError, DetectorParams, Environment, GateTiming,
                        load_config, partial_attack_rates,
                        simulate_pulse_train, sweep_delay)
 from aftergate import io
-from aftergate.config import _SCHEMA, default_config_path
+from aftergate.config import _SCHEMA, _float, default_config_path
 from aftergate.io import (read_arrhenius_csv, write_feasibility_csv,
                           write_histogram_csv, write_json, write_sweep_csv)
 
@@ -166,6 +166,30 @@ class TestConfig:
                                         "gate_width = 2000.0"))
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_model_key_casters(self):
+        # each model section's key -> caster map, read from the dataclass
+        # fields' annotations
+        floats = {
+            "detector": ["gating_frequency", "gate_width",
+                         "detection_efficiency", "discrimination_threshold",
+                         "dark_count_prob", "afterpulse_prob", "trigger_peak",
+                         "trigger_flat_fraction", "gain_flat_fraction",
+                         "gain_edge_fraction", "gain_floor"],
+            "traps.interface": ["activation_energy", "lifetime_prefactor",
+                                "capture_fraction_photo"],
+            "traps.multiplication": ["activation_energy",
+                                     "lifetime_prefactor",
+                                     "capture_per_avalanche_charge",
+                                     "retention_strength"],
+            "environment": ["temperature"],
+        }
+        for section, keys in floats.items():
+            expected = dict.fromkeys(keys, _float)
+            if section == "detector":
+                expected["afterpulse_spread_gates"] = int
+            # functions compare by identity: the same caster objects
+            assert _SCHEMA[section] == expected, section
 
 
 class TestCsvFormats:
