@@ -859,17 +859,7 @@ def _files(out: Path) -> dict:
             else {})
 
 
-# a success, and the config error and numerical failure of TestErrorPaths
-@pytest.mark.parametrize("argv", [
-    [*FAST, "sweep"],
-    ["--set", "detector.bogus=1", "sweep"],
-    ["--set", "sweep.delay_max=5000", "sweep"],
-], ids=["ok", "config_error", "numerical_failure"])
-# without -X dev the entry ends the process itself; under it, the
-# interpreter finalizes as usual
-@pytest.mark.parametrize("python_flags", [(), ("-X", "dev")],
-                         ids=["fast_exit", "dev_mode"])
-def test_process_entry_matches_main(tmp_path, argv, python_flags):
+def _assert_entry_matches_main(tmp_path, argv, python_flags=()):
     ref = run_child(["--out", tmp_path / "main", *argv])
     proc = run_entry(["--out", tmp_path / "entry", *argv],
                      python_flags=python_flags)
@@ -877,6 +867,26 @@ def test_process_entry_matches_main(tmp_path, argv, python_flags):
     assert (proc.returncode, stdout, stderr) == (ref.returncode, ref.stdout,
                                                  ref.stderr)
     assert _files(tmp_path / "entry") == _files(tmp_path / "main")
+
+
+# a success, and the config error and numerical failure of TestErrorPaths
+ENTRY_CASES = pytest.mark.parametrize("argv", [
+    [*FAST, "sweep"],
+    ["--set", "detector.bogus=1", "sweep"],
+    ["--set", "sweep.delay_max=5000", "sweep"],
+], ids=["ok", "config_error", "numerical_failure"])
+
+
+@ENTRY_CASES
+def test_process_entry_matches_main(tmp_path, argv):
+    # without -X dev the entry ends the process itself
+    _assert_entry_matches_main(tmp_path, argv)
+
+
+@ENTRY_CASES
+def test_process_entry_matches_main_in_dev_mode(tmp_path, argv):
+    # under -X dev the interpreter finalizes as usual
+    _assert_entry_matches_main(tmp_path, argv, python_flags=("-X", "dev"))
 
 
 def _stdout_env(unbuffered: bool) -> dict:
