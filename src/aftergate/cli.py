@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import gc
 import os
 import sys
 import threading
@@ -316,12 +315,11 @@ def _exit_is_watched() -> bool:
 
 
 def entry(argv=None) -> int:
-    """main(argv) as a whole process: stdout is flushed under main's OSError
-    rule and every object is frozen. Unless something watches the
-    interpreter's exit, the atexit handlers then run, stdout and stderr are
-    flushed and the process ends with the exit code, without finalization.
-    Otherwise the code is returned, and the interpreter's shutdown
-    collections skip the heap that numpy and the package leave tracked."""
+    """main(argv) as a whole process, with stdout flushed under main's
+    OSError rule. Unless something watches the interpreter's exit, the
+    atexit handlers then run, stdout and stderr are flushed and the process
+    ends with the exit code, without finalization. Otherwise the code is
+    returned, and the interpreter finalizes the whole heap."""
     code = main(argv)
     if sys.stdout is not None:
         try:
@@ -335,7 +333,6 @@ def entry(argv=None) -> int:
             if code == 0:
                 print(f"config error: {exc}", file=sys.stderr)
                 code = 1
-    gc.freeze()
     if _exit_is_watched():
         return code
     atexit._run_exitfuncs()

@@ -5,7 +5,9 @@ must not poison itself with delayed detection (gates far enough apart that a
 click rarely spills into the next gate), yet an attacker's trailing-edge
 pulses must still spill enough to push the corrected QBER over the security
 threshold. Frequencies failing the first are Noisy, failing the second are
-Vulnerable, and the window in between is Suitable.
+Vulnerable, and the window in between is Suitable. On the shipped grid
+q_noise peaks at 0.00725 at both temperatures, so no frequency is Noisy and
+the Vulnerable edge alone sets the Suitable band.
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ def noise_qber(det: DetectorParams, env: Environment, signal_flux: float):
     Each legitimate detection at the optimal delay seeds interface-trap
     carriers; their release in the following gate is an error half the time
     (they are uncorrelated with the transmitted qubit), as is the dark and
-    afterpulse background. Only the interface species is counted, which is
-    the conservative choice for this criterion. An array of clocks
-    (rescale_detector) gives one QBER per clock.
+    afterpulse background. Only the interface species is counted. An array
+    of clocks (rescale_detector) gives one QBER per clock.
 
     QBER = (p_dd / 2 + p_other / 2) / (p_sig + p_dd + p_other), where p_sig
     is click_probability_array at delay 0, which already counts a dark

@@ -170,6 +170,13 @@ class TestSweep:
         edge_start = det.trigger_flat_fraction * det.timing.gate_width
         assert edge_start < points[i].delay < det.timing.gate_width
 
+    def test_dip_is_first_delay_past_a_threshold_step(self, det, points):
+        # every avalanche of a pulse shares one gain, so the click law steps
+        # in delay; the dip lands on the grid delay just past a step
+        i = int(np.nanargmin(points.q_target))
+        before, dip = det.threshold_count(points.delay[i - 1:i + 1])
+        assert dip == before + 1
+
     def test_delayed_detection_reveals_attack(self, points):
         q_dd = np.array([p.q_with_dd for p in points])
         assert np.nanmin(q_dd) > 0.11

@@ -933,7 +933,7 @@ def test_no_stdout_runs_silently(tmp_path):
 
 
 def test_main_freezes_no_object(tmp_path):
-    # only the process entry freezes the heap, never an in-process caller
+    # a frozen heap is never finalized, so main() leaves it as it found it
     frozen = gc.get_freeze_count()
     assert run(tmp_path, "sweep") == 0
     assert gc.get_freeze_count() == frozen
@@ -984,14 +984,28 @@ _FINALIZER = ("import os, sys, types\n"
               "        write(2, b'finalized\\n')\n"
               "keeper = sys.modules['keeper'] = types.ModuleType('keeper')\n"
               "keeper.kept = Finalized()\n")
+# a keeper that refers to itself outlives the cleared dict, so only the
+# shutdown collections delete it
+_CYCLIC_FINALIZER = _FINALIZER + "keeper.kept.me = keeper.kept\n"
+# from Python 3.12 a profiler or coverage may hold a sys.monitoring tool id
+# instead of a trace hook; a stand-in names a tool for id 2, or for none
+_MONITORED = ("sys.monitoring = types.SimpleNamespace(\n"
+              "    get_tool=lambda i: 'profiler' if i == 2 else None)\n")
+_UNMONITORED = ("sys.monitoring = types.SimpleNamespace(\n"
+                "    get_tool=lambda i: None)\n")
 
 
-@pytest.mark.parametrize("python_flags, stderr", [
-    ((), ""), (("-X", "dev"), "finalized\n"),
-], ids=["fast_exit", "dev_mode"])
-def test_only_unwatched_exit_skips_finalization(tmp_path, python_flags,
+@pytest.mark.parametrize("python_flags, code, stderr", [
+    ((), _FINALIZER, ""), (("-X", "dev"), _FINALIZER, "finalized\n"),
+    ((), _CYCLIC_FINALIZER, ""),
+    (("-X", "dev"), _CYCLIC_FINALIZER, "finalized\n"),
+    ((), _FINALIZER + _MONITORED, "finalized\n"),
+    ((), _FINALIZER + _UNMONITORED, ""),
+], ids=["fast_exit", "dev_mode", "fast_exit_cycle", "dev_mode_cycle",
+        "monitoring_tool", "no_monitoring_tool"])
+def test_only_unwatched_exit_skips_finalization(tmp_path, python_flags, code,
                                                 stderr):
-    proc = run_wrapped(_FINALIZER, ["--out", tmp_path, *FAST, "sweep"],
+    proc = run_wrapped(code, ["--out", tmp_path, *FAST, "sweep"],
                        python_flags=python_flags)
     assert (proc.returncode, proc.stderr) == (0, stderr)
     assert (tmp_path / "sweep.csv").exists()

@@ -149,6 +149,13 @@ class TestBand:
         lo50, hi50 = suitable_interval(band50)
         assert np.sqrt(lo50 * hi50) < np.sqrt(lo20 * hi20)
 
+    def test_no_shipped_band_is_noisy(self, band20, band50):
+        # q_noise peaks at 0.00725 at both temperatures, so the Vulnerable
+        # edge alone sets the Suitable band
+        for band in (band20, band50):
+            assert "Noisy" not in band.classification
+            assert band.q_noise.max() == pytest.approx(0.00725, abs=5e-6)
+
     def test_rejects_unsorted_grid(self, det, env, signal, attack,
                                    threshold):
         with pytest.raises(ValueError):

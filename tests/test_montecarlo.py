@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aftergate import PulseSpec, montecarlo, simulate_pulse_train
-from aftergate.detector import GateTiming
+from aftergate import (Environment, PulseSpec, montecarlo,
+                       simulate_pulse_train)
+from aftergate.detector import (GateTiming, poisson_tail, trap_lifetime,
+                                trap_loading)
 from aftergate.montecarlo import analytic_gate_probabilities
 from dead_time_reference import dead_time_counts
 
@@ -336,3 +338,28 @@ class TestAnalyticAgreement:
         freq = counts / trials
         se = np.sqrt(expected * (1 - expected) / trials)
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-12)
+
+
+@pytest.mark.parametrize("temperature", [293.15, 223.15])
+def test_release_from_every_earlier_gate_has_closed_form(det, temperature):
+    # a pulse in each of 3,000 gates, no dark counts or afterpulsing: the
+    # last gate's release mean is the sum over offsets m >= 1 of
+    # pop (e^{-(mT-d)/tau} - e^{-(mT-d+w)/tau}) trigger_peak, per species,
+    # a geometric series in e^{-T/tau}
+    quiet = replace(det, dark_count_prob=0.0, afterpulse_prob=0.0)
+    env = Environment(temperature=temperature)
+    flux, d = 80.0, 153.25
+    train = [(g, PulseSpec(flux, d)) for g in range(3000)]
+    p_last = analytic_gate_probabilities(quiet, train, env, 3000)[-1]
+    p_light = poisson_tail(quiet.threshold_count(d),
+                           quiet.mean_avalanches(flux, d))
+    release = -np.log((1.0 - p_last) / (1.0 - p_light))
+    period, width = quiet.timing.gate_period, quiet.timing.gate_width
+    closed = 0.0
+    for species, pop in zip((quiet.interface_trap, quiet.multiplication_trap),
+                            trap_loading(quiet, flux, d)):
+        tau = trap_lifetime(species, env)
+        closed += (pop * np.exp(-(period - d) / tau) * -np.expm1(-width / tau)
+                   / -np.expm1(-period / tau))
+    np.testing.assert_allclose(release, closed * quiet.trigger_peak,
+                               rtol=1e-12)
